@@ -125,10 +125,11 @@ Series files hold one sample per line (UCR archive format accepted).
 `serve` blocks until a client sends the shutdown verb; `client` verbs are
 health, list, stats (add --format text for the plain-text dump), fit,
 detect, evict, shutdown, and the stream.* family — responses print as one
-JSON line. --fleet-budget BYTES switches the server's stream tier to the
-memory-budgeted fleet: idle streams are LRU-evicted to checkpoints and
-rehydrated bit-identically on the next touch, and sustained drift triggers
-background refits (0 = fleet tier with no byte cap).
+JSON line. Open streams are written to --stream-checkpoints (default
+<models>/_fleet) at shutdown and resumed on restart. --fleet-budget BYTES
+caps resident stream memory: idle streams are LRU-evicted to checkpoints
+and rehydrated bit-identically on the next touch, and sustained drift
+triggers background refits (0 = no byte cap, drift still on).
 `stream` replays --test as a live feed through the incremental engine in
 --chunk-sized pushes (default 64) and prints hysteresis events plus the
 final offline-equivalent detection. Without --addr it runs in-process

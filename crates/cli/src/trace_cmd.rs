@@ -15,7 +15,7 @@ use std::f64::consts::PI;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use triad_core::{persist, TriAd, TriadConfig};
-use triad_stream::{ManagerConfig, StreamManager};
+use triad_fleet::{DriftPolicy, FleetConfig, FleetManager};
 
 /// The five stage-1..4 span names the pipeline must attribute individually
 /// (the ISSUE acceptance bar), checked under `--smoke`.
@@ -78,8 +78,8 @@ pub(crate) fn cmd_trace(cli: &Cli) -> Result<Vec<String>, String> {
     let fitted = TriAd::new(cfg).fit(&train)?;
     let det = fitted.detect(&test);
 
-    // --- stream: replay the test split through a sharded manager so the
-    // shard-open/ingest/score/checkpoint spans appear, then checkpoint.
+    // --- stream: replay the test split through the fleet manager so the
+    // fleet-open/ingest/score/compact spans appear, then checkpoint.
     let scratch = std::env::temp_dir().join(format!("triad_trace_{}", std::process::id()));
     std::fs::create_dir_all(&scratch).map_err(|e| e.to_string())?;
     let stream_lines = {
@@ -181,10 +181,10 @@ pub(crate) fn cmd_trace(cli: &Cli) -> Result<Vec<String>, String> {
     Ok(out)
 }
 
-/// Save the model, replay `test` through a 2-shard [`StreamManager`] with a
-/// checkpoint directory, checkpoint everything, and close. Runs under the
-/// caller's `stream-replay` span; the shard threads record their own
-/// ingest/score/checkpoint spans.
+/// Save the model, replay `test` through an unbudgeted 2-shard
+/// [`FleetManager`] with drift off, checkpoint everything, and close. Runs
+/// under the caller's `stream-replay` span; the shard threads record their
+/// own open/ingest/score/compact spans.
 fn run_stream_phase(
     scratch: &Path,
     fitted: &triad_core::FittedTriad,
@@ -193,14 +193,20 @@ fn run_stream_phase(
     let model_path = scratch.join("trace-model.triad");
     persist::save_file(&model_path, fitted).map_err(|e| e.to_string())?;
     let loader_path = model_path.clone();
-    let manager = StreamManager::new(
-        ManagerConfig {
+    let manager = FleetManager::new(
+        FleetConfig {
             shards: 2,
-            checkpoint_dir: Some(scratch.join("ckpt")),
-            ..ManagerConfig::default()
+            store_dir: scratch.join("ckpt"),
+            drift: DriftPolicy {
+                enabled: false,
+                ..DriftPolicy::default()
+            },
+            ..FleetConfig::default()
         },
         Arc::new(move |_name: &str| persist::load_file(&loader_path).map_err(|e| e.to_string())),
-    );
+        None,
+    )
+    .map_err(|e| format!("stream manager: {e}"))?;
 
     let streams = ["trace-a", "trace-b"];
     for name in streams {

@@ -7,8 +7,6 @@
 //!
 //! * [`matrix_profile`] — exact brute-force matrix profile, O(n²·w). The
 //!   ground truth the fast algorithms are validated against.
-//! * [`stomp`] — the same exact profile via per-row MASS (FFT) distance
-//!   profiles, O(n² log n): faster for long subsequence lengths.
 //! * [`drag`] — the Discord Range-Aware Gathering algorithm (Yankov, Keogh &
 //!   Rebbapragada 2008): a two-phase candidate-select / refine scan that finds
 //!   all discords with nearest-neighbour distance ≥ r in ~O(n·w) when r is
@@ -35,7 +33,6 @@ pub mod fast;
 pub mod matrix_profile;
 pub mod merlin;
 pub mod merlin_pp;
-pub mod stomp;
 
 use merlin::MerlinConfig;
 use tsops::NumericMode;

@@ -1,8 +1,10 @@
-//! # triad-fleet — the memory-budgeted million-stream tier
+//! # triad-fleet — the stream runtime
 //!
-//! `triad_stream::StreamManager` keeps every engine hot in RAM forever, so
-//! fleet size is bounded by memory rather than by the model. This crate
-//! layers state tiering on top of the same sharded architecture:
+//! [`FleetManager`] hosts every online stream in the workspace: engines
+//! from `triad_stream` hash to worker shards with bounded ingest queues,
+//! and each shard tiers its engines' state under a memory budget. A budget
+//! of 0 with drift disabled is the plain "every stream stays resident"
+//! configuration the serve tier runs by default.
 //!
 //! * [`budget`] — a per-shard byte ledger over
 //!   `StreamEngine::estimated_bytes` with logical-clock LRU ordering. When
@@ -27,9 +29,9 @@
 //!   the refreshed model is swapped in at a deterministic window boundary
 //!   of the stream — never mid-batch, never reordering in-flight scores.
 //! * [`manager`] — the [`FleetManager`] itself: FNV-sharded worker threads
-//!   with bounded queues, mirroring `StreamManager`'s surface (`open`,
-//!   `push`, `poll`, `close`, `checkpoint`, `streams`) so the serve tier
-//!   can host either interchangeably.
+//!   with bounded queues and explicit backpressure accounting, serving
+//!   `open`, `push`, `poll`, `close`, `checkpoint` and `streams`, and
+//!   re-adopting every durable stream from the store on restart.
 //!
 //! Determinism: eviction order uses logical touch ticks (never wall
 //! clock), byte estimates derive from collection lengths only, the drift
@@ -46,5 +48,7 @@ pub mod store;
 
 pub use budget::BudgetLedger;
 pub use drift::{DriftBaseline, DriftDetector, DriftPolicy, DriftSignal};
-pub use manager::{FleetConfig, FleetManager, FleetStats, RefitRequest, Refitter};
+pub use manager::{
+    CloseReport, FleetConfig, FleetManager, FleetStats, PushTicket, RefitRequest, Refitter,
+};
 pub use store::CheckpointStore;

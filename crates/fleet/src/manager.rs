@@ -1,8 +1,12 @@
-//! The [`FleetManager`]: sharded stream management under a memory budget.
+//! The [`FleetManager`]: the workspace's one multi-stream runtime.
 //!
-//! Same architecture as `triad_stream::StreamManager` — stream names
-//! FNV-route to worker shards, each one OS thread owning its engines, fed
-//! by a bounded queue — plus the fleet tier:
+//! Stream names FNV-route to worker shards, each one OS thread owning its
+//! engines, fed by a **bounded** ingest queue. A full queue sheds load
+//! explicitly — `push` reports `queued: false` and the shard's
+//! `dropped_backpressure` counter accounts for every dropped point — rather
+//! than blocking the caller or buffering without bound. Models are loaded
+//! *on the shard thread* through the caller's [`ModelLoader`] and cached
+//! per shard (`FittedTriad` is not `Send`). On top of that:
 //!
 //! * every command updates a [`BudgetLedger`]; when a shard exceeds its
 //!   slice of the global budget (`budget / shards`), least-recently
@@ -22,6 +26,10 @@
 //! Everything per-stream that must survive eviction (drift state, refit
 //! bookkeeping, checkpoint generation, byte estimate) lives in the shard's
 //! slot table, which is never evicted — only engines are.
+//!
+//! With `budget_bytes: 0`, drift disabled and no refitter, nothing is ever
+//! evicted or swapped: every stream stays resident, and the store only sees
+//! explicit checkpoints and the shutdown sweep (the serve tier's default).
 
 use crate::budget::BudgetLedger;
 use crate::drift::{DriftBaseline, DriftDetector, DriftPolicy, DriftSignal};
@@ -32,12 +40,11 @@ use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex};
-use triad_core::{FittedTriad, PersistError, TriadConfig};
+use triad_core::{FittedTriad, PersistError, TriadConfig, TriadDetection};
 use triad_stream::checkpoint;
 use triad_stream::engine::{StreamConfig, StreamEngine, StreamStatus};
 use triad_stream::metrics::ShardMetrics;
-use triad_stream::shard::{fnv1a, validate_name, CloseReport, ModelLoader, PushTicket};
-use triad_stream::StreamError;
+use triad_stream::{ModelLoader, StreamError};
 
 /// Everything a background refit needs to produce the replacement model.
 ///
@@ -71,9 +78,9 @@ pub struct FleetConfig {
     pub shards: usize,
     /// Bounded ingest-queue depth per shard, in commands.
     pub queue_capacity: usize,
-    /// Where generation-numbered checkpoints live. Unlike the flat
-    /// manager, the fleet *requires* a store: eviction without a durable
-    /// home would lose state.
+    /// Where generation-numbered checkpoints live. The fleet *requires* a
+    /// store: eviction without a durable home would lose state, and the
+    /// shutdown sweep persists every dirty stream there for the restart.
     pub store_dir: PathBuf,
     /// Global resident-engine byte budget (0 = unlimited). Each shard
     /// enforces `budget / shards`.
@@ -150,6 +157,67 @@ pub struct FleetStats {
     pub refits_requested: u64,
     pub refits_completed: u64,
     pub refits_failed: u64,
+}
+
+/// Receipt for a `push`: whether the batch made it onto the shard queue.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PushTicket {
+    /// `false` means the whole batch was shed by backpressure (and counted
+    /// in the shard's `dropped_backpressure`).
+    pub queued: bool,
+    /// Points dropped by this call (0 when queued).
+    pub dropped: usize,
+    /// Queue depth observed at send time.
+    pub queue_len: usize,
+    /// Which shard the stream routes to.
+    pub shard: usize,
+}
+
+/// Everything `close` can tell the caller.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CloseReport {
+    /// Final status snapshot before teardown.
+    pub status: StreamStatus,
+    /// Offline-equivalent detection over the retained history, when the
+    /// ring still held every sample and the model was never swapped.
+    pub detection: Option<TriadDetection>,
+    /// Why `detection` is absent (history evicted, empty stream, refit, …).
+    pub finalize_error: Option<String>,
+}
+
+/// FNV-1a over the stream name: the shard-routing hash.
+fn fnv1a(name: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in name.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Stream and model names become file names and hash keys; keep them to a
+/// safe registry-style charset and reject path tricks like `..`.
+fn validate_name(name: &str, what: &str) -> Result<(), StreamError> {
+    if name.is_empty() || name.len() > 64 {
+        return Err(StreamError::BadName(format!(
+            "{what} name must be 1–64 characters, got {}",
+            name.len()
+        )));
+    }
+    if name.starts_with('.') || name.starts_with('-') {
+        return Err(StreamError::BadName(format!(
+            "{what} name {name:?} must not start with '.' or '-'"
+        )));
+    }
+    if let Some(c) = name
+        .chars()
+        .find(|c| !(c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-')))
+    {
+        return Err(StreamError::BadName(format!(
+            "{what} name {name:?} contains invalid character {c:?}"
+        )));
+    }
+    Ok(())
 }
 
 // --------------------------------------------------------- refit plumbing
@@ -407,7 +475,8 @@ impl FleetManager {
 
     /// Open a stream bound to a registered model name. A stream with
     /// durable generations in the store resumes from them (the checkpoint
-    /// records which model it was built with).
+    /// records which model it was built with); if they cannot be restored
+    /// they are discarded and the error returned.
     pub fn open(&self, stream: &str, model: &str) -> Result<(), StreamError> {
         validate_name(stream, "stream")?;
         validate_name(model, "model")?;
@@ -419,8 +488,8 @@ impl FleetManager {
         })
     }
 
-    /// Enqueue a batch of points; never blocks (full queue sheds the batch
-    /// with explicit accounting, exactly like the flat manager).
+    /// Enqueue a batch of points. Never blocks: a full shard queue sheds
+    /// the whole batch and accounts it in `dropped_backpressure`.
     pub fn push(&self, stream: &str, points: &[f64]) -> Result<PushTicket, StreamError> {
         validate_name(stream, "stream")?;
         let shard = self.shard_of(stream);
@@ -465,7 +534,9 @@ impl FleetManager {
     }
 
     /// Close a stream: final status + offline-equivalent detection (after
-    /// rehydration when needed); all durable generations are removed.
+    /// rehydration when needed); all durable generations are removed. A
+    /// stream whose state cannot be rehydrated is discarded all the same
+    /// and the restore error returned.
     pub fn close(&self, stream: &str) -> Result<CloseReport, StreamError> {
         validate_name(stream, "stream")?;
         let shard = self.shard_of(stream);
@@ -619,8 +690,10 @@ fn refit_root(model: &str) -> (&str, u64) {
 }
 
 impl ShardCtx {
-    /// Load (or fetch cached) a model plus its drift baseline; LRU-bounded
-    /// exactly like the flat manager's shard cache.
+    /// Load (or fetch cached) a model plus its drift baseline. Bounded to
+    /// `cache_cap` entries, least-recently-used evicted first (logical use
+    /// counter, never wall clock); a stream bound to an evicted model
+    /// reloads it through the loader on next use.
     fn model(&mut self, name: &str) -> Result<(Rc<FittedTriad>, DriftBaseline), StreamError> {
         self.model_clock += 1;
         if let Some(entry) = self.models.get_mut(name) {
@@ -782,6 +855,16 @@ impl ShardCtx {
         ShardMetrics::set(&self.metrics.open_streams, self.streams.len() as u64);
     }
 
+    /// Forget a stream entirely: its slot, ledger and refit entries, and
+    /// every durable generation in the store.
+    fn discard(&mut self, name: &str) -> Option<Slot> {
+        let slot = self.streams.remove(name);
+        self.ledger.remove(name);
+        self.refit_ledger.clear(name);
+        self.store.remove_stream(name);
+        slot
+    }
+
     /// Adopt a durable stream at startup as an evicted slot (no engine
     /// loaded — rehydration happens on first touch).
     fn adopt(&mut self, name: &str, generation: u64) -> Result<(), StreamError> {
@@ -886,8 +969,9 @@ impl ShardCtx {
 
     /// At the deterministic swap boundary: wait for the background refit,
     /// rebind the engine to the refreshed model, reset drift state against
-    /// the new model's training baseline.
-    fn apply_pending_swap(&mut self, stream: &str) {
+    /// the new model's training baseline. Returns whether the engine now
+    /// runs a different model.
+    fn apply_pending_swap(&mut self, stream: &str) -> bool {
         let due = match self.streams.get(stream) {
             Some(slot) => match (&slot.pending, &slot.engine) {
                 (Some(p), Some(_)) => {
@@ -902,7 +986,7 @@ impl ShardCtx {
             None => None,
         };
         let Some(new_model) = due else {
-            return;
+            return false;
         };
         let mut span = obs::span("fleet-refit-swap");
         span.add_field("stream", stream);
@@ -947,6 +1031,7 @@ impl ShardCtx {
         } else {
             ShardMetrics::add(&self.fleet.refits_failed, 1);
         }
+        swapped
     }
 }
 
@@ -989,9 +1074,15 @@ fn shard_main(rx: Receiver<Command>, init: ShardInit, adopt: Vec<(String, u64)>)
                     // Durable state exists (e.g. opened before a restart
                     // that missed adoption): resume it; the checkpoint
                     // knows its own model.
+                    // State that cannot be restored (model gone, or refit
+                    // under the same name with another geometry) is
+                    // discarded, so a retried open starts afresh.
                     let gen = st.store.generations(&stream).last().copied().unwrap_or(0);
                     st.adopt(&stream, gen)
                         .and_then(|()| st.ensure_resident(&stream))
+                        .inspect_err(|_| {
+                            st.discard(&stream);
+                        })
                 } else {
                     st.model(&model).map(|(fitted, baseline)| {
                         let engine = StreamEngine::new(&fitted, st.defaults.clone());
@@ -1041,15 +1132,16 @@ fn shard_main(rx: Receiver<Command>, init: ShardInit, adopt: Vec<(String, u64)>)
                     .get(&stream)
                     .and_then(|s| s.engine.as_ref())
                     .map_or(0, |e| e.events().len());
+                // Resolve the model once per batch; only a swap applied at a
+                // window boundary mid-batch re-resolves it, so the rest of
+                // the batch scores under the refreshed model.
+                let resolve = |st: &mut ShardCtx| {
+                    let name = st.streams.get(&stream).map(|s| s.model.clone())?;
+                    st.model(&name).ok().map(|(fitted, _)| fitted)
+                };
+                let mut model = resolve(&mut st);
                 for &x in &points {
-                    // Re-resolve the model every point: a swap applied at
-                    // the previous point's window boundary means the rest
-                    // of the batch must score under the refreshed model
-                    // (cache hit + Rc clone — no refit cost here).
-                    let Some(model_name) = st.streams.get(&stream).map(|s| s.model.clone()) else {
-                        break;
-                    };
-                    let Ok((fitted, _)) = st.model(&model_name) else {
+                    let Some(fitted) = model.as_ref() else {
                         break;
                     };
                     let Some(slot) = st.streams.get_mut(&stream) else {
@@ -1061,7 +1153,7 @@ fn shard_main(rx: Receiver<Command>, init: ShardInit, adopt: Vec<(String, u64)>)
                     let t0 = obs::now_ns();
                     let mut drift_entered = false;
                     let mut drifting = false;
-                    match engine.push(&fitted, x) {
+                    match engine.push(fitted, x) {
                         Ok(outcome) => {
                             if let Some(w) = outcome.completed_window {
                                 let end = obs::now_ns();
@@ -1094,7 +1186,9 @@ fn shard_main(rx: Receiver<Command>, init: ShardInit, adopt: Vec<(String, u64)>)
                             );
                         }
                     }
-                    st.apply_pending_swap(&stream);
+                    if st.apply_pending_swap(&stream) {
+                        model = resolve(&mut st);
+                    }
                 }
                 let events_after = st
                     .streams
@@ -1143,12 +1237,17 @@ fn shard_main(rx: Receiver<Command>, init: ShardInit, adopt: Vec<(String, u64)>)
             }
             Command::Close { stream, reply } => {
                 let result = match st.ensure_resident(&stream) {
-                    Err(e) => Err(e),
+                    Err(e) => {
+                        // A known stream whose state cannot be restored is
+                        // still closed, so its name and files are not stuck.
+                        st.discard(&stream);
+                        Err(e)
+                    }
                     Ok(()) => match st.streams.get(&stream).map(|s| s.model.clone()) {
                         None => Err(StreamError::UnknownStream(stream.clone())),
                         Some(model_name) => {
                             let fitted = st.model(&model_name);
-                            match st.streams.remove(&stream) {
+                            match st.discard(&stream) {
                                 Some(Slot {
                                     engine: Some(engine),
                                     ..
@@ -1161,9 +1260,6 @@ fn shard_main(rx: Receiver<Command>, init: ShardInit, adopt: Vec<(String, u64)>)
                                         },
                                         Err(e) => (None, Some(e.to_string())),
                                     };
-                                    st.ledger.remove(&stream);
-                                    st.refit_ledger.clear(&stream);
-                                    st.store.remove_stream(&stream);
                                     Ok(CloseReport {
                                         status,
                                         detection,

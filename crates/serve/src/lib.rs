@@ -19,9 +19,12 @@
 //!
 //! The server also hosts the online streaming layer: `stream.open`,
 //! `stream.push`, `stream.poll`, `stream.close`, `stream.checkpoint`, and
-//! `stream.list` route to a [`triad_stream::StreamManager`] whose shard
-//! workers load models from the same directory as the registry; per-shard
-//! streaming counters ride along in the `stats` verb.
+//! `stream.list` route to a [`triad_fleet::FleetManager`] whose shard
+//! workers load models from the same directory as the registry. Without
+//! `fleet_budget_bytes` it runs unbudgeted with drift off (every stream
+//! stays resident); its checkpoint store defaults to `<models>/_fleet`.
+//! Per-shard streaming counters and the `fleet` section ride along in the
+//! `stats` verb in both configurations.
 //!
 //! [`client`] is the matching blocking client used by `triad client` and the
 //! integration tests; [`json`] is the dependency-free JSON layer whose

@@ -29,10 +29,8 @@ use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use triad_core::{persist, NumericMode, TriAd, TriadConfig};
-use triad_fleet::{FleetConfig, FleetManager, FleetStats, RefitRequest, Refitter};
-use triad_stream::{
-    CloseReport, ManagerConfig, PushTicket, ShardMetrics, StreamError, StreamManager, StreamStatus,
-};
+use triad_fleet::{DriftPolicy, FleetConfig, FleetManager, FleetStats, RefitRequest, Refitter};
+use triad_stream::ShardMetrics;
 
 /// Server tunables. `Default` suits tests and local runs.
 #[derive(Debug, Clone)]
@@ -68,15 +66,18 @@ pub struct ServeConfig {
     pub stream_shards: usize,
     /// Bounded ingest-queue depth per stream shard (backpressure valve).
     pub stream_queue: usize,
-    /// Where stream checkpoints live; `None` disables checkpointing (a
-    /// restarted server then starts with no open streams).
+    /// Where the stream checkpoint store lives; `None` uses
+    /// `<models_dir>/_fleet`. Either way, shutdown writes every dirty open
+    /// stream there and a server restarted over the same directory resumes
+    /// them; `stream.close` removes a stream's files, also when its state
+    /// no longer matches its model and cannot be resumed.
     pub stream_checkpoint_dir: Option<PathBuf>,
-    /// `Some(bytes)` switches the streaming layer to the memory-budgeted
-    /// fleet tier: resident engines are capped at this many bytes globally
-    /// (0 = fleet tier with no cap), idle streams are evicted to
+    /// `Some(bytes)` caps the stream tier's resident engines at this many
+    /// bytes globally (0 = no cap): idle streams are evicted to
     /// generation-numbered checkpoints and rehydrated bit-identically on
     /// the next touch, and drift-triggered refits run in the background
-    /// through the model registry. `None` keeps the flat tier.
+    /// through the model registry. `None` keeps every stream resident with
+    /// drift detection off.
     pub fleet_budget_bytes: Option<u64>,
 }
 
@@ -102,87 +103,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// The streaming layer behind the `stream.*` verbs: the flat
-/// [`StreamManager`] (every open stream stays resident) or the
-/// memory-budgeted [`FleetManager`]. Same verb surface either way — the
-/// fleet tier's evictions and rehydrations are invisible in responses.
-enum StreamTier {
-    Flat(StreamManager),
-    Fleet(FleetManager),
-}
-
-impl StreamTier {
-    fn open(&self, stream: &str, model: &str) -> Result<(), StreamError> {
-        match self {
-            StreamTier::Flat(m) => m.open(stream, model),
-            StreamTier::Fleet(m) => m.open(stream, model),
-        }
-    }
-
-    fn push(&self, stream: &str, points: &[f64]) -> Result<PushTicket, StreamError> {
-        match self {
-            StreamTier::Flat(m) => m.push(stream, points),
-            StreamTier::Fleet(m) => m.push(stream, points),
-        }
-    }
-
-    fn poll(&self, stream: &str) -> Result<StreamStatus, StreamError> {
-        match self {
-            StreamTier::Flat(m) => m.poll(stream),
-            StreamTier::Fleet(m) => m.poll(stream),
-        }
-    }
-
-    fn close(&self, stream: &str) -> Result<CloseReport, StreamError> {
-        match self {
-            StreamTier::Flat(m) => m.close(stream),
-            StreamTier::Fleet(m) => m.close(stream),
-        }
-    }
-
-    fn checkpoint(&self, stream: Option<&str>) -> Result<usize, StreamError> {
-        match self {
-            StreamTier::Flat(m) => m.checkpoint(stream),
-            StreamTier::Fleet(m) => m.checkpoint(stream),
-        }
-    }
-
-    fn streams(&self) -> Vec<String> {
-        match self {
-            StreamTier::Flat(m) => m.streams(),
-            StreamTier::Fleet(m) => m.streams(),
-        }
-    }
-
-    fn shard_of(&self, stream: &str) -> usize {
-        match self {
-            StreamTier::Flat(m) => m.shard_of(stream),
-            StreamTier::Fleet(m) => m.shard_of(stream),
-        }
-    }
-
-    fn shard_count(&self) -> usize {
-        match self {
-            StreamTier::Flat(m) => m.shard_count(),
-            StreamTier::Fleet(m) => m.shard_count(),
-        }
-    }
-
-    fn shard_metrics(&self) -> &[Arc<ShardMetrics>] {
-        match self {
-            StreamTier::Flat(m) => m.shard_metrics(),
-            StreamTier::Fleet(m) => m.shard_metrics(),
-        }
-    }
-
-    fn fleet_stats(&self) -> Option<FleetStats> {
-        match self {
-            StreamTier::Flat(_) => None,
-            StreamTier::Fleet(m) => Some(m.fleet_stats()),
-        }
-    }
-}
-
 /// State shared by the accept loop, workers, and executors.
 struct Shared {
     registry: Arc<RwLock<ModelRegistry>>,
@@ -190,7 +110,7 @@ struct Shared {
     batcher: Batcher,
     /// Online streaming layer; stream engines live on its shard threads,
     /// loading models from the same `models_dir` as the registry.
-    streams: StreamTier,
+    streams: FleetManager,
     shutdown: AtomicBool,
     addr: SocketAddr,
     request_timeout: Duration,
@@ -292,20 +212,21 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
             .map_err(|e| format!("load model {name:?}: {e}"))
     });
     let registry = Arc::new(RwLock::new(registry));
-    let streams = match cfg.fleet_budget_bytes {
-        None => StreamTier::Flat(StreamManager::new(
-            ManagerConfig {
-                shards: cfg.stream_shards.max(1),
-                queue_capacity: cfg.stream_queue.max(1),
-                checkpoint_dir: cfg.stream_checkpoint_dir.clone(),
-                ..Default::default()
+    // `None` is the unbudgeted fleet: every stream stays resident and no
+    // drift refits run. `Some(budget)` also refits drifted streams; the
+    // refit fits on the refit thread and persists through the registry, so
+    // the refreshed model is immediately visible to `list`/`detect` and to
+    // the shard loader above.
+    let (budget_bytes, drift, refitter) = match cfg.fleet_budget_bytes {
+        None => (
+            0,
+            DriftPolicy {
+                enabled: false,
+                ..DriftPolicy::default()
             },
-            loader,
-        )),
+            None,
+        ),
         Some(budget) => {
-            // Drift-triggered refits fit on the refit thread and persist
-            // through the registry, so the refreshed model is immediately
-            // visible to `list`/`detect` and to the shard loader above.
             let refit_registry = Arc::clone(&registry);
             let refitter: Refitter = Arc::new(move |req: &RefitRequest| {
                 let fitted = TriAd::new(req.config.clone())
@@ -316,25 +237,25 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
                     .map_err(|_| "registry poisoned".to_string())?
                     .save_fitted(&req.new_model, fitted)
             });
-            let store_dir = cfg
-                .stream_checkpoint_dir
-                .clone()
-                .unwrap_or_else(|| cfg.models_dir.join("_fleet"));
-            let fleet = FleetManager::new(
-                FleetConfig {
-                    shards: cfg.stream_shards.max(1),
-                    queue_capacity: cfg.stream_queue.max(1),
-                    store_dir,
-                    budget_bytes: budget as usize,
-                    ..FleetConfig::default()
-                },
-                loader,
-                Some(refitter),
-            )
-            .map_err(io::Error::other)?;
-            StreamTier::Fleet(fleet)
+            (budget as usize, DriftPolicy::default(), Some(refitter))
         }
     };
+    let streams = FleetManager::new(
+        FleetConfig {
+            shards: cfg.stream_shards.max(1),
+            queue_capacity: cfg.stream_queue.max(1),
+            store_dir: cfg
+                .stream_checkpoint_dir
+                .clone()
+                .unwrap_or_else(|| cfg.models_dir.join("_fleet")),
+            budget_bytes,
+            drift,
+            ..FleetConfig::default()
+        },
+        loader,
+        refitter,
+    )
+    .map_err(io::Error::other)?;
     let shared = Arc::new(Shared {
         registry,
         metrics: Arc::clone(&metrics),
@@ -707,7 +628,7 @@ fn handle_detect(shared: &Arc<Shared>, req: &Value, id: Option<&Value>) -> Value
     }
 }
 
-/// Dispatch the `stream.*` verb family onto the [`StreamManager`].
+/// Dispatch the `stream.*` verb family onto the [`FleetManager`].
 fn handle_stream(shared: &Arc<Shared>, verb: &str, req: &Value, id: Option<&Value>) -> Value {
     let stream_name = req.get("stream").and_then(Value::as_str);
     match verb {
@@ -821,8 +742,8 @@ fn handle_stream(shared: &Arc<Shared>, verb: &str, req: &Value, id: Option<&Valu
     }
 }
 
-/// Fleet-tier counter list shared by both expositions (JSON field names
-/// and `triad_fleet_*` text metric suffixes).
+/// Fleet counter list shared by both expositions (JSON field names and
+/// `triad_fleet_*` text metric suffixes).
 fn fleet_counters(s: &FleetStats) -> [(&'static str, u64); 12] {
     [
         ("budget_bytes", s.budget_bytes),
@@ -841,7 +762,7 @@ fn fleet_counters(s: &FleetStats) -> [(&'static str, u64); 12] {
 }
 
 /// Per-shard streaming counters for the `stats` verb's JSON payload.
-fn stream_metrics_json(mgr: &StreamTier) -> Value {
+fn stream_metrics_json(mgr: &FleetManager) -> Value {
     let mut shards = Vec::with_capacity(mgr.shard_count());
     let mut open_total = 0u64;
     for (i, m) in mgr.shard_metrics().iter().enumerate() {
@@ -856,22 +777,19 @@ fn stream_metrics_json(mgr: &StreamTier) -> Value {
         ));
         shards.push(Value::Obj(fields));
     }
-    let mut fields = vec![
+    let fleet: Vec<(String, Value)> = fleet_counters(&mgr.fleet_stats())
+        .into_iter()
+        .map(|(name, v)| (name.into(), Value::Num(v as f64)))
+        .collect();
+    Value::Obj(vec![
         ("shards".into(), Value::Arr(shards)),
         ("open_streams".into(), Value::Num(open_total as f64)),
-    ];
-    if let Some(stats) = mgr.fleet_stats() {
-        let fleet: Vec<(String, Value)> = fleet_counters(&stats)
-            .into_iter()
-            .map(|(name, v)| (name.into(), Value::Num(v as f64)))
-            .collect();
-        fields.push(("fleet".into(), Value::Obj(fleet)));
-    }
-    Value::Obj(fields)
+        ("fleet".into(), Value::Obj(fleet)),
+    ])
 }
 
 /// Per-shard streaming counters in the text exposition format.
-fn render_stream_metrics(mgr: &StreamTier, out: &mut String) {
+fn render_stream_metrics(mgr: &FleetManager, out: &mut String) {
     use std::fmt::Write;
     for (i, m) in mgr.shard_metrics().iter().enumerate() {
         for (name, counter) in shard_counters(m) {
@@ -888,10 +806,8 @@ fn render_stream_metrics(mgr: &StreamTier, out: &mut String) {
             out,
         );
     }
-    if let Some(stats) = mgr.fleet_stats() {
-        for (name, v) in fleet_counters(&stats) {
-            let _ = writeln!(out, "triad_fleet_{name} {v}");
-        }
+    for (name, v) in fleet_counters(&mgr.fleet_stats()) {
+        let _ = writeln!(out, "triad_fleet_{name} {v}");
     }
 }
 

@@ -185,8 +185,9 @@ pub fn save<W: Write>(
     Ok(())
 }
 
-/// Save to a file path (atomic-enough: write then rename would need a temp
-/// file; the manager writes to `<name>.tmp` and renames, see `shard`).
+/// Save to a file path. Not atomic on its own: the fleet tier stores
+/// checkpoints through `triad_fleet::CheckpointStore`, which frames the
+/// payload and writes via tmp + rename.
 pub fn save_file(
     path: &Path,
     stream: &str,

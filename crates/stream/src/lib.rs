@@ -17,11 +17,14 @@
 //! * [`checkpoint`] — persist/restore per-stream state in the hardened
 //!   TRIAD2 style (magic, bounded lengths, CRC-32 trailer) so a restarted
 //!   server resumes mid-stream bit-identically.
-//! * [`shard`] — the multi-stream [`StreamManager`]: streams hash to worker
-//!   shards, each with a bounded ingest queue (explicit backpressure and
-//!   drop accounting) and per-shard [`metrics`].
-//! * [`metrics`] — atomic counters plus a fixed-bucket [`Histogram`] with
-//!   bucket-derived quantile estimates (p50/p95/p99).
+//! * [`metrics`] — per-shard atomic counters ([`ShardMetrics`]) plus a
+//!   fixed-bucket [`Histogram`] with bucket-derived quantile estimates
+//!   (p50/p95/p99).
+//!
+//! This crate owns one stream at a time. Hosting many — hash-sharded worker
+//! threads with bounded ingest queues, a per-shard model cache fed by a
+//! [`ModelLoader`], durable checkpoints and restart — is the job of
+//! `triad_fleet::FleetManager`, the one multi-stream runtime.
 //!
 //! The stride policy (paper Sec. IV-A2: stride = L/4, overlapping) is kept
 //! for online scoring so the offline and online window sets coincide; see
@@ -33,17 +36,22 @@ pub mod checkpoint;
 pub mod engine;
 pub mod metrics;
 pub mod ring;
-pub mod shard;
 
 pub use engine::{
     LiveView, PushOutcome, StreamConfig, StreamEngine, StreamEvent, StreamStatus, WindowScore,
 };
 pub use metrics::{Histogram, HistogramSnapshot, ShardMetrics};
 pub use ring::RingBuffer;
-pub use shard::{CloseReport, ManagerConfig, ModelLoader, PushTicket, StreamManager};
 
 use std::fmt;
-use triad_core::PersistError;
+use std::sync::Arc;
+use triad_core::{FittedTriad, PersistError};
+
+/// Builds a fitted model by name, on the shard thread that will own it.
+/// Must be cheap to clone and callable from any thread; the returned
+/// `FittedTriad` is deliberately not `Send` (the `neuro` tape uses `Rc`), so
+/// the loader closure crosses threads but the model it builds never does.
+pub type ModelLoader = Arc<dyn Fn(&str) -> Result<FittedTriad, String> + Send + Sync>;
 
 /// Failure surface of the streaming layer.
 #[derive(Debug)]

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use obs::{Histogram, HistogramSnapshot};
 
-/// Per-shard counters for the multi-stream manager.
+/// Per-shard counters for the fleet manager's shard workers.
 pub struct ShardMetrics {
     /// Points accepted onto the ingest queue.
     pub ingested: AtomicU64,

@@ -139,6 +139,13 @@ for stage in featurize rank narrow discord vote; do
         exit 1
     }
 done
+# The stream phase runs through the fleet manager: its shard spans must land.
+for span in fleet-open fleet-ingest fleet-score; do
+    grep -q "\"name\":\"$span\"" "$TRACE_FILE" || {
+        echo "ERROR: $TRACE_FILE missing stream-tier span $span" >&2
+        exit 1
+    }
+done
 # Every non-zero parent id must itself appear as a span id (no orphans).
 awk -F'"id":' '{ split($2, a, ","); print a[1] }' "$TRACE_FILE" | sort -u > "$TRACE_DIR/ids"
 awk -F'"parent":' '{ split($2, a, ","); if (a[1] != "0") print a[1] }' "$TRACE_FILE" \
@@ -148,7 +155,7 @@ ORPHANS=$(comm -13 "$TRACE_DIR/ids" "$TRACE_DIR/parents")
     echo "ERROR: $TRACE_FILE has orphan parent ids: $ORPHANS" >&2
     exit 1
 }
-echo "   TRACE.jsonl schema-complete, five stages attributed, no orphan parents"
+echo "   TRACE.jsonl schema-complete, five stages + fleet spans attributed, no orphan parents"
 
 echo "== triad evalbed --smoke (regression gate vs the committed baseline)"
 # The gated summary must be byte-stable: same ranking, same metric means
