@@ -178,8 +178,8 @@ fn stream_series(index: usize, points: usize, period: f64) -> Vec<f64> {
 }
 
 /// Refit recipes posted by the refitter, fitted on demand by the loader —
-/// the same registry-free plumbing the fleet unit tests use (`FittedTriad`
-/// is `!Send`, so configs and training slices cross threads, models don't).
+/// the same registry-free plumbing the fleet unit tests use (a
+/// `ModelLoader` returns an owned model, so the recipe is what is stored).
 type RecipeBook = Arc<Mutex<BTreeMap<String, (TriadConfig, Vec<f64>)>>>;
 
 fn base_cfg(threads: usize, numeric_mode: NumericMode) -> TriadConfig {

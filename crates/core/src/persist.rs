@@ -242,12 +242,26 @@ pub fn save<W: Write>(w: W, fitted: &FittedTriad) -> Result<(), PersistError> {
     Ok(())
 }
 
-/// Save to a file path.
+/// Save to a file path, atomically: the model is written to `.<file>.tmp`
+/// beside the target and renamed over it, so a failed or interrupted write
+/// never leaves a truncated file where the previous model was. The temp
+/// file is removed on error.
 pub fn save_file(path: &Path, fitted: &FittedTriad) -> Result<(), PersistError> {
-    save(
-        std::io::BufWriter::new(std::fs::File::create(path).map_err(PersistError::Io)?),
-        fitted,
-    )
+    let name = path
+        .file_name()
+        .ok_or_else(|| invalid(format!("model path {} has no file name", path.display())))?;
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(".tmp");
+    let tmp = path.with_file_name(tmp_name);
+    let written = std::fs::File::create(&tmp)
+        .map_err(PersistError::Io)
+        .and_then(|file| save(std::io::BufWriter::new(file), fitted))
+        .and_then(|()| std::fs::rename(&tmp, path).map_err(PersistError::Io));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Deserialize a fitted model, validating every field before it reaches
@@ -534,6 +548,31 @@ mod tests {
         let restored = load_file(&path).unwrap();
         assert_eq!(restored.window_len(), fitted.window_len());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_save_keeps_the_previous_file_intact() {
+        let (train, _) = series();
+        let fitted = TriAd::new(quick_cfg()).fit(&train).expect("fit");
+        let dir = std::env::temp_dir().join(format!("triad_persist_atomic_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.triad");
+        save_file(&path, &fitted).unwrap();
+        let before = std::fs::read(&path).unwrap();
+
+        // A directory squatting on the temp path makes the write fail
+        // before anything could touch the target.
+        std::fs::create_dir(dir.join(".m.triad.tmp")).unwrap();
+        let other = TriAd::new(TriadConfig {
+            seed: 99,
+            ..quick_cfg()
+        })
+        .fit(&train)
+        .expect("fit");
+        assert!(save_file(&path, &other).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     proptest! {

@@ -49,6 +49,9 @@ impl TriAd {
 }
 
 /// A trained TriAD model bound to its training series.
+///
+/// `Send + Sync`: detection only reads the weights, so one model can be
+/// shared by reference across threads (checked at compile time below).
 pub struct FittedTriad {
     cfg: TriadConfig,
     model: Model,
@@ -57,6 +60,11 @@ pub struct FittedTriad {
     report: TrainReport,
     train: Vec<f64>,
 }
+
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<FittedTriad>();
+};
 
 impl FittedTriad {
     /// Reassemble from persisted parts (see [`crate::persist`]).

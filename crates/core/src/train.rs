@@ -28,8 +28,8 @@ pub struct Model {
 
 /// Build the untrained model skeleton for `cfg`, consuming weights from the
 /// caller's RNG in the fixed construction order (encoders in `domains()`
-/// order, then the head). `fit`, model loading, and the parallel runtime's
-/// worker replicas all share this so structures always line up.
+/// order, then the head). `fit`, model loading, and the per-shard gradient
+/// replicas of sharded training all share this so structures always line up.
 pub(crate) fn skeleton_with(rng: &mut StdRng, cfg: &TriadConfig) -> Model {
     let encoders: Vec<(Domain, DomainEncoder)> = cfg
         .domains()
@@ -61,8 +61,9 @@ impl Model {
     }
 
     /// Plain-tensor copies of every parameter value, in [`params`](Model::params)
-    /// order. Unlike `Param` (an `Rc`), tensors cross thread boundaries, so
-    /// this is how the parallel runtime ships weights to worker replicas.
+    /// order. `Param`s are shared cells, so this is how sharded training
+    /// seeds each gradient replica with the current weights while keeping
+    /// its gradient accumulators separate from the master model's.
     pub fn snapshot(&self) -> Vec<Tensor> {
         self.params().iter().map(|p| p.tensor()).collect()
     }
@@ -102,14 +103,14 @@ impl Model {
     }
 
     /// [`embed_windows`](Model::embed_windows) distributed across the ambient
-    /// worker pool: each worker rebuilds a structural replica from `cfg`
-    /// (weights copied via [`snapshot`](Model::snapshot)) and embeds a
-    /// contiguous span of windows. Every op in the embed path is
+    /// worker pool: every worker embeds a contiguous span of windows through
+    /// the same shared (read-only) model. Every op in the embed path is
     /// batch-row independent, so the rows are bit-identical to the serial
-    /// path at any thread count — batch boundaries don't matter.
+    /// path at any thread count — batch boundaries don't matter. `_cfg` is
+    /// unused and kept for the callers' signature.
     pub fn embed_windows_par(
         &self,
-        cfg: &TriadConfig,
+        _cfg: &TriadConfig,
         fx: &FeatureExtractor,
         windows: &[&[f64]],
         domain: Domain,
@@ -118,11 +119,8 @@ impl Model {
         if par.is_serial() || !self.encoders.iter().any(|(d, _)| *d == domain) {
             return self.embed_windows(fx, windows, domain);
         }
-        let snap = self.snapshot();
         let spans = parallel::map_ranges(par, windows.len(), |range| {
-            let replica = skeleton(cfg);
-            replica.load_snapshot(&snap);
-            replica.embed_windows(fx, &windows[range], domain)
+            self.embed_windows(fx, &windows[range], domain)
         });
         spans.into_iter().flatten().collect()
     }

@@ -5,8 +5,8 @@
 //! explicitly — `push` reports `queued: false` and the shard's
 //! `dropped_backpressure` counter accounts for every dropped point — rather
 //! than blocking the caller or buffering without bound. Models are loaded
-//! *on the shard thread* through the caller's [`ModelLoader`] and cached
-//! per shard (`FittedTriad` is not `Send`). On top of that:
+//! through the caller's [`ModelLoader`], which returns an owned model, and
+//! cached per shard as `Arc`s in a bounded LRU. On top of that:
 //!
 //! * every command updates a [`BudgetLedger`]; when a shard exceeds its
 //!   slice of the global budget (`budget / shards`), least-recently
@@ -37,7 +37,6 @@ use crate::store::CheckpointStore;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex};
 use triad_core::{FittedTriad, PersistError, TriadConfig, TriadDetection};
@@ -379,11 +378,11 @@ impl FleetManager {
         for (shard_id, adopt) in adoptions.into_iter().enumerate() {
             let (tx, rx) = bounded::<Command>(cfg.queue_capacity.max(1));
             let worker_rx = rx.clone();
-            // FittedTriad is !Send (Rc-based tape), so the model cache —
-            // and with it the whole ShardCtx — must be built on the shard
-            // thread; only Send ingredients cross.
-            let init = ShardInit {
+            let ctx = ShardCtx {
                 shard_id,
+                streams: BTreeMap::new(),
+                models: BTreeMap::new(),
+                model_clock: 0,
                 cache_cap: cfg.model_cache_cap.max(1),
                 loader: Arc::clone(&loader),
                 store: store.clone(),
@@ -391,13 +390,13 @@ impl FleetManager {
                 fleet: Arc::clone(&fleet),
                 defaults: cfg.stream_defaults.clone(),
                 policy: cfg.drift.clone(),
-                budget: per_shard_budget,
+                ledger: BudgetLedger::new(per_shard_budget),
                 refit_tx: refit_tx.clone(),
                 refit_ledger: Arc::clone(&refit_ledger),
             };
             let handle = std::thread::Builder::new()
                 .name(format!("triad-fleet-shard-{shard_id}"))
-                .spawn(move || shard_main(worker_rx, init, adopt))
+                .spawn(move || shard_main(worker_rx, ctx, adopt))
                 // lint-allow(no-unwrap): thread-spawn failure at startup is
                 // unrecoverable resource exhaustion
                 .expect("spawn fleet shard worker");
@@ -639,25 +638,9 @@ struct Slot {
 }
 
 struct CachedModel {
-    fitted: Rc<FittedTriad>,
+    fitted: Arc<FittedTriad>,
     baseline: DriftBaseline,
     last_used: u64,
-}
-
-/// The `Send` subset of shard state: crosses into the worker thread, which
-/// builds the full [`ShardCtx`] (with its `!Send` model cache) locally.
-struct ShardInit {
-    shard_id: usize,
-    cache_cap: usize,
-    loader: ModelLoader,
-    store: CheckpointStore,
-    metrics: Arc<ShardMetrics>,
-    fleet: Arc<FleetMetrics>,
-    defaults: StreamConfig,
-    policy: DriftPolicy,
-    budget: usize,
-    refit_tx: Option<Sender<RefitJob>>,
-    refit_ledger: Arc<RefitLedger>,
 }
 
 struct ShardCtx {
@@ -694,19 +677,19 @@ impl ShardCtx {
     /// `cache_cap` entries, least-recently-used evicted first (logical use
     /// counter, never wall clock); a stream bound to an evicted model
     /// reloads it through the loader on next use.
-    fn model(&mut self, name: &str) -> Result<(Rc<FittedTriad>, DriftBaseline), StreamError> {
+    fn model(&mut self, name: &str) -> Result<(Arc<FittedTriad>, DriftBaseline), StreamError> {
         self.model_clock += 1;
         if let Some(entry) = self.models.get_mut(name) {
             entry.last_used = self.model_clock;
-            return Ok((Rc::clone(&entry.fitted), entry.baseline));
+            return Ok((Arc::clone(&entry.fitted), entry.baseline));
         }
         let fitted = (self.loader)(name).map_err(StreamError::ModelLoad)?;
         let baseline = DriftBaseline::from_model(&fitted);
-        let rc = Rc::new(fitted);
+        let fitted = Arc::new(fitted);
         self.models.insert(
             name.to_string(),
             CachedModel {
-                fitted: Rc::clone(&rc),
+                fitted: Arc::clone(&fitted),
                 baseline,
                 last_used: self.model_clock,
             },
@@ -724,7 +707,7 @@ impl ShardCtx {
                 None => break,
             }
         }
-        Ok((rc, baseline))
+        Ok((fitted, baseline))
     }
 
     /// Write a new generation for a resident stream when dirty (or always,
@@ -1035,23 +1018,7 @@ impl ShardCtx {
     }
 }
 
-fn shard_main(rx: Receiver<Command>, init: ShardInit, adopt: Vec<(String, u64)>) {
-    let mut st = ShardCtx {
-        shard_id: init.shard_id,
-        streams: BTreeMap::new(),
-        models: BTreeMap::new(),
-        model_clock: 0,
-        cache_cap: init.cache_cap,
-        loader: init.loader,
-        store: init.store,
-        metrics: init.metrics,
-        fleet: init.fleet,
-        defaults: init.defaults,
-        policy: init.policy,
-        ledger: BudgetLedger::new(init.budget),
-        refit_tx: init.refit_tx,
-        refit_ledger: init.refit_ledger,
-    };
+fn shard_main(rx: Receiver<Command>, mut st: ShardCtx, adopt: Vec<(String, u64)>) {
     for (name, generation) in &adopt {
         if st.adopt(name, *generation).is_err() {
             ShardMetrics::add(&st.metrics.checkpoint_failures, 1);
@@ -1359,8 +1326,8 @@ mod tests {
     }
 
     /// Refit recipes posted by the [`Refitter`], consumed by the loader:
-    /// `FittedTriad` is `!Send`, so what crosses threads is (config, train),
-    /// and the shard thread fits it on demand like any other model.
+    /// a [`ModelLoader`] returns an owned model, so the refitter records
+    /// (config, train) and the loader fits it on demand like any other model.
     type RecipeBook = Arc<Mutex<BTreeMap<String, (TriadConfig, Vec<f64>)>>>;
 
     fn loader_with(recipes: RecipeBook) -> ModelLoader {

@@ -12,51 +12,62 @@
 //! `backward`.
 
 use crate::tensor::Tensor;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Index of a node on the tape.
 pub type NodeId = usize;
 
 /// Persistent trainable parameter: value plus accumulated gradient, shared
 /// between the owning layer, the graphs that use it, and the optimizer.
+///
+/// The cell is an `Arc<RwLock<…>>`, so a trained model is `Send + Sync`:
+/// concurrent forward passes over one model only take read locks, while
+/// training (gradient flush, optimizer step) takes the write lock. A
+/// poisoned lock is recovered rather than propagated: the panicking thread
+/// already reports the failure, and the cell holds plain tensors with no
+/// invariant spanning its fields.
 #[derive(Clone)]
-pub struct Param(Rc<RefCell<ParamData>>);
+pub struct Param(Arc<RwLock<ParamData>>);
 
 pub struct ParamData {
     pub value: Tensor,
     pub grad: Tensor,
 }
 
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Param>();
+};
+
 impl Param {
     pub fn new(value: Tensor) -> Self {
         let grad = Tensor::zeros(value.shape());
-        Param(Rc::new(RefCell::new(ParamData { value, grad })))
+        Param(Arc::new(RwLock::new(ParamData { value, grad })))
     }
 
-    pub fn value(&self) -> std::cell::Ref<'_, ParamData> {
-        self.0.borrow()
+    pub fn value(&self) -> RwLockReadGuard<'_, ParamData> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    pub fn borrow_mut(&self) -> std::cell::RefMut<'_, ParamData> {
-        self.0.borrow_mut()
+    pub fn borrow_mut(&self) -> RwLockWriteGuard<'_, ParamData> {
+        self.0.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Snapshot of the current value.
     pub fn tensor(&self) -> Tensor {
-        self.0.borrow().value.clone()
+        self.value().value.clone()
     }
 
     pub fn shape(&self) -> Vec<usize> {
-        self.0.borrow().value.shape().to_vec()
+        self.value().value.shape().to_vec()
     }
 
     pub fn zero_grad(&self) {
-        self.0.borrow_mut().grad.zero_();
+        self.borrow_mut().grad.zero_();
     }
 
     pub fn numel(&self) -> usize {
-        self.0.borrow().value.numel()
+        self.value().value.numel()
     }
 }
 

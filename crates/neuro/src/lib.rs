@@ -16,8 +16,9 @@
 //!   reproducible from a `u64` seed.
 //!
 //! Design notes: tensors are plain values (no views); the tape stores one
-//! closure per op; parameters live outside the tape in `Rc<RefCell<…>>` cells
-//! so a fresh graph per batch is cheap. Model sizes in this reproduction
+//! closure per op; parameters live outside the tape in `Arc<RwLock<…>>` cells
+//! so a fresh graph per batch is cheap and a trained model is `Send + Sync`
+//! (forward passes on several threads share one set of weights). Model sizes in this reproduction
 //! (≤ 6 residual blocks, hidden dim ≤ 128, windows ≤ ~1000 samples) train in
 //! seconds per dataset on one core.
 

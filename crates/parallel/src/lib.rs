@@ -23,6 +23,8 @@
 //! pick it up with [`ambient`]. Worker threads are flagged so nested
 //! parallel regions degrade to serial instead of oversubscribing.
 
+#![forbid(unsafe_code)]
+
 pub mod reduce;
 
 use std::cell::Cell;

@@ -3,9 +3,8 @@
 //! Four layers, bottom to top:
 //!
 //! - [`registry`] — named model slots over `triad-core::persist`: atomic
-//!   save/reload of fitted models in a directory, an LRU cache of
-//!   deserialized instances, and the threading story for the non-`Send`
-//!   pipeline (`SendModel` + per-slot mutex).
+//!   save/reload of fitted models in a directory and an LRU cache of
+//!   deserialized instances, each behind a per-slot mutex.
 //! - [`batch`] — groups concurrent `detect` requests per model under a
 //!   `max_batch`/`max_delay` policy so the pipeline is locked once per batch
 //!   and duplicate payloads run once.
@@ -30,10 +29,7 @@
 //! integration tests; [`json`] is the dependency-free JSON layer whose
 //! deterministic output makes bit-for-bit response comparison valid.
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// `unsafe impl Send for SendModel` in `registry` (see its safety comment),
-// which opts back in with a scoped `#[allow(unsafe_code)]`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod client;
@@ -47,5 +43,5 @@ pub use batch::{BatchPolicy, Batcher};
 pub use client::Client;
 pub use json::Value;
 pub use metrics::{Histogram, HistogramSnapshot, Metrics};
-pub use registry::{ModelInfo, ModelRegistry, SendModel};
+pub use registry::{ModelInfo, ModelRegistry};
 pub use server::{start, ServeConfig, ServerHandle};

@@ -10,15 +10,11 @@
 //!
 //! ## Threading model
 //!
-//! `FittedTriad` contains `neuro` parameters (`Rc<RefCell<…>>`), so it is
-//! neither `Send` nor `Sync`. [`SendModel`] asserts `Send` (see the safety
-//! comment); it is sound because a fitted model owns its entire `Rc` graph —
-//! `train::fit` and `persist::load` build a fresh graph per model and no
-//! `Rc` handle escapes the `FittedTriad` API — so the whole object moves
-//! between threads as one unit. It is **never** `Sync`: all access goes
-//! through the slot `Mutex`, one thread at a time, which is exactly what the
-//! batching layer wants anyway (one pipeline run per model at a time, many
-//! models in parallel).
+//! `FittedTriad` is `Send + Sync`, so a cached model lives directly in its
+//! slot's `Mutex`. The mutex is the cache protocol, not a thread-safety
+//! patch: it serializes the load-on-miss so a file is read once, and the
+//! batching layer holds it for one pipeline run per model at a time while
+//! other models' slots proceed in parallel.
 
 use crate::metrics::{inc, Metrics};
 use std::collections::BTreeMap;
@@ -28,31 +24,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use triad_core::{persist, FittedTriad, NumericMode};
 
-/// Move-only wrapper making a fitted model transferable across threads.
-pub struct SendModel(pub FittedTriad);
-
-// SAFETY: `FittedTriad` is self-contained — every `Rc`/`RefCell` inside it is
-// created during `fit`/`load` and reachable only through this value (the
-// public API hands out `&`-references, never `Rc` clones). Moving sole
-// ownership to another thread therefore cannot race reference counts. The
-// wrapper is deliberately NOT `Sync`: concurrent `&SendModel` access from two
-// threads could still race `RefCell` borrow flags, so every `SendModel` in
-// this module lives behind a `Mutex` and is only touched by its lock holder.
-#[allow(unsafe_code)] // the crate-level deny's one sanctioned exception
-unsafe impl Send for SendModel {}
-
-impl std::ops::Deref for SendModel {
-    type Target = FittedTriad;
-    fn deref(&self) -> &FittedTriad {
-        &self.0
-    }
-}
-
 /// One named model: its file plus an optional deserialized instance.
 pub struct ModelSlot {
     name: String,
     path: PathBuf,
-    model: Mutex<Option<SendModel>>,
+    model: Mutex<Option<FittedTriad>>,
     /// Logical-clock stamp of the last detect/load touch (drives LRU).
     last_used: AtomicU64,
     /// Serialized size on disk, bytes.
@@ -194,12 +170,7 @@ impl ModelRegistry {
         fitted.set_threads(self.threads);
         fitted.set_numeric_mode(self.numeric_mode);
         let final_path = self.dir.join(format!("{name}.{MODEL_EXT}"));
-        let tmp_path = self.dir.join(format!(".{name}.{MODEL_EXT}.tmp"));
-        persist::save_file(&tmp_path, &fitted).map_err(|e| format!("save {name}: {e}"))?;
-        std::fs::rename(&tmp_path, &final_path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp_path);
-            format!("install {name}: {e}")
-        })?;
+        persist::save_file(&final_path, &fitted).map_err(|e| format!("save {name}: {e}"))?;
         let bytes = std::fs::metadata(&final_path).map(|m| m.len()).unwrap_or(0);
 
         let slot = self
@@ -217,7 +188,7 @@ impl ModelRegistry {
             .clone();
         // relaxed-ok: display-only size bookkeeping; see `file_bytes`.
         slot.file_bytes.store(bytes, Ordering::Relaxed);
-        *slot.model.lock().map_err(|_| "slot poisoned")? = Some(SendModel(fitted));
+        *slot.model.lock().map_err(|_| "slot poisoned")? = Some(fitted);
         self.touch(&slot);
         self.enforce_capacity();
         Ok(())
@@ -234,7 +205,7 @@ impl ModelRegistry {
     pub fn lock_loaded<'s>(
         &self,
         slot: &'s ModelSlot,
-    ) -> Result<MutexGuard<'s, Option<SendModel>>, String> {
+    ) -> Result<MutexGuard<'s, Option<FittedTriad>>, String> {
         // lint-allow(lock-across-io): deserializing under the slot lock is the
         // cache-miss protocol — it serializes concurrent loads of one model so
         // the file is read once, and the guard is exactly what callers came
@@ -248,7 +219,7 @@ impl ModelRegistry {
                 persist::load_file(&slot.path).map_err(|e| format!("load {}: {e}", slot.name))?;
             fitted.set_threads(self.threads);
             fitted.set_numeric_mode(self.numeric_mode);
-            *guard = Some(SendModel(fitted));
+            *guard = Some(fitted);
         }
         self.touch(slot);
         // A fresh load may have pushed us over the cache budget.

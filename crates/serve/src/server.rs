@@ -194,10 +194,11 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
         max_delay: Duration::from_millis(cfg.max_delay_ms),
         request_timeout: Duration::from_millis(cfg.request_timeout_ms.max(1)),
     };
-    // Stream shards load models straight from the models directory on their
-    // own threads (`FittedTriad` is not `Send`, so the registry's cached
-    // instances cannot cross into a shard). `fit` saves to disk before it
-    // replies, so a fit→stream.open sequence always sees the file.
+    // Stream shards load models straight from the models directory: a
+    // `ModelLoader` returns an owned model and the fleet keeps its own
+    // per-shard LRU, so the registry's cached instances are not shared.
+    // `fit` saves to disk before it replies, so a fit→stream.open sequence
+    // always sees the file.
     let models_dir = cfg.models_dir.clone();
     let detect_threads = cfg.threads;
     let detect_numeric_mode = cfg.numeric_mode;

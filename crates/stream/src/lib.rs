@@ -47,10 +47,9 @@ use std::fmt;
 use std::sync::Arc;
 use triad_core::{FittedTriad, PersistError};
 
-/// Builds a fitted model by name, on the shard thread that will own it.
-/// Must be cheap to clone and callable from any thread; the returned
-/// `FittedTriad` is deliberately not `Send` (the `neuro` tape uses `Rc`), so
-/// the loader closure crosses threads but the model it builds never does.
+/// Builds a fitted model by name. Must be cheap to clone and callable from
+/// any thread; each call returns an owned `FittedTriad` (which is
+/// `Send + Sync`), and the fleet shard that asked for it caches it.
 pub type ModelLoader = Arc<dyn Fn(&str) -> Result<FittedTriad, String> + Send + Sync>;
 
 /// Failure surface of the streaming layer.

@@ -18,9 +18,8 @@ use triad_core::{TriAd, TriadConfig, TriadDetection};
 use triad_fleet::{DriftPolicy, FleetConfig, FleetManager};
 use triad_stream::{ModelLoader, StreamStatus};
 
-/// Model recipes keyed by name: the loader fits on the shard thread
-/// (`FittedTriad` is `!Send`), so configs and training splits are what
-/// cross into the fleet.
+/// Model recipes keyed by name: the loader returns an owned model, so it
+/// fits one from its config and training split whenever a shard asks.
 type Recipes = Arc<BTreeMap<String, (TriadConfig, Vec<f64>)>>;
 
 fn loader_of(recipes: &Recipes) -> ModelLoader {

@@ -20,11 +20,15 @@
 //! gradient accumulation is a *config* switch (it changes the contrastive
 //! objective), so its results legitimately differ from `grad_shards = 1` —
 //! but across thread counts they must still be bit-identical.
+//!
+//! A third case shares one fitted model between two threads detecting
+//! concurrently: `FittedTriad` is `Send + Sync`, and concurrent readers
+//! must each get exactly the serial detection.
 
 mod common;
 
 use common::{dataset_of, quick_cfg, KINDS};
-use triad_core::{persist, TriAd, TriadConfig, TriadDetection};
+use triad_core::{persist, NumericMode, TriAd, TriadConfig, TriadDetection};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -85,4 +89,30 @@ fn sharded_gradient_training_is_bit_identical_across_thread_counts() {
     let mut cfg = quick_cfg(3);
     cfg.grad_shards = 2;
     assert_matrix("LevelShift/grad_shards=2", cfg, ds.train(), ds.test());
+}
+
+#[test]
+fn concurrent_detects_on_one_shared_model_match_serial() {
+    let ds = common::easy_dataset();
+    let mut fitted = TriAd::new(quick_cfg(5)).fit(ds.train()).expect("fit");
+    for mode in [NumericMode::Exact, NumericMode::Fast] {
+        for t in [1, 4] {
+            fitted.set_numeric_mode(mode);
+            fitted.set_threads(t);
+            let serial = fitted.try_detect(ds.test()).expect("serial detect");
+            let shared = &fitted;
+            let (a, b) = std::thread::scope(|s| {
+                let a = s.spawn(|| shared.try_detect(ds.test()));
+                let b = s.spawn(|| shared.try_detect(ds.test()));
+                (a.join(), b.join())
+            });
+            for (who, det) in [("first", a), ("second", b)] {
+                let det = det.expect("detect thread panicked").expect("detect");
+                assert_eq!(
+                    det, serial,
+                    "{mode:?}/{t} threads: {who} concurrent detect differs from serial"
+                );
+            }
+        }
+    }
 }
