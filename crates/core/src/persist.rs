@@ -27,7 +27,8 @@ use crate::features::FeatureExtractor;
 use crate::pipeline::FittedTriad;
 use crate::train::TrainReport;
 use neuro::serialize::{load_params, write_params};
-use std::io::{self, Read, Write};
+use std::fs::File;
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 use tsops::window::Segmenter;
 
@@ -242,26 +243,42 @@ pub fn save<W: Write>(w: W, fitted: &FittedTriad) -> Result<(), PersistError> {
     Ok(())
 }
 
-/// Save to a file path, atomically: the model is written to `.<file>.tmp`
-/// beside the target and renamed over it, so a failed or interrupted write
-/// never leaves a truncated file where the previous model was. The temp
-/// file is removed on error.
-pub fn save_file(path: &Path, fitted: &FittedTriad) -> Result<(), PersistError> {
-    let name = path
-        .file_name()
-        .ok_or_else(|| invalid(format!("model path {} has no file name", path.display())))?;
+/// Write `path` atomically: `write` fills `.<file>.tmp` beside the target,
+/// which is then renamed over it, so a failed or interrupted write never
+/// leaves a truncated file where the previous one was. The temp file is
+/// removed on error. Model files and fleet checkpoints are both written
+/// through here.
+pub fn write_atomic<E: From<io::Error>>(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), E>,
+) -> Result<(), E> {
+    let name = path.file_name().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("path {} has no file name", path.display()),
+        )
+    })?;
     let mut tmp_name = std::ffi::OsString::from(".");
     tmp_name.push(name);
     tmp_name.push(".tmp");
     let tmp = path.with_file_name(tmp_name);
-    let written = std::fs::File::create(&tmp)
-        .map_err(PersistError::Io)
-        .and_then(|file| save(std::io::BufWriter::new(file), fitted))
-        .and_then(|()| std::fs::rename(&tmp, path).map_err(PersistError::Io));
+    let written = File::create(&tmp)
+        .map_err(E::from)
+        .and_then(|file| {
+            let mut w = BufWriter::new(file);
+            write(&mut w)?;
+            w.flush().map_err(E::from)
+        })
+        .and_then(|()| std::fs::rename(&tmp, path).map_err(E::from));
     if written.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
     written
+}
+
+/// Save to a file path atomically (see [`write_atomic`]).
+pub fn save_file(path: &Path, fitted: &FittedTriad) -> Result<(), PersistError> {
+    write_atomic(path, |w| save(w, fitted))
 }
 
 /// Deserialize a fitted model, validating every field before it reaches

@@ -13,7 +13,7 @@
 //! bit-for-bit. `crates/evalbed/tests/format.rs` proptests both properties.
 
 use crate::metrics::{MetricSet, METRIC_NAMES};
-use obs::json::{self, Json};
+use obs::json::{self, Value};
 use std::collections::HashSet;
 use std::io::Write;
 use std::path::Path;
@@ -50,12 +50,12 @@ impl ResultRow {
     pub fn to_line(&self) -> String {
         let mut body = String::with_capacity(256);
         body.push_str(&format!(
-            "{{\"v\":{},\"method\":\"{}\",\"dataset\":{},\"name\":\"{}\",\"kind\":\"{}\",\"n_test\":{},\"m\":{{",
+            "{{\"v\":{},\"method\":{},\"dataset\":{},\"name\":{},\"kind\":{},\"n_test\":{},\"m\":{{",
             SCHEMA_VERSION,
-            escape(&self.method),
+            Value::from(self.method.as_str()),
             self.dataset,
-            escape(&self.dataset_name),
-            escape(&self.anomaly_kind),
+            Value::from(self.dataset_name.as_str()),
+            Value::from(self.anomaly_kind.as_str()),
             self.n_test,
         ));
         for (i, (name, value)) in METRIC_NAMES.iter().zip(&self.metrics.values).enumerate() {
@@ -100,7 +100,7 @@ impl ResultRow {
         for (slot, name) in values.iter_mut().zip(METRIC_NAMES.iter()) {
             *slot = metrics_obj
                 .get(name)
-                .and_then(Json::as_f64)
+                .and_then(Value::as_f64)
                 .ok_or_else(|| format!("missing metric {name:?}"))?;
         }
         Ok(ResultRow {
@@ -112,22 +112,22 @@ impl ResultRow {
             metrics: MetricSet { values },
             wall_ms: doc
                 .get("wall_ms")
-                .and_then(Json::as_f64)
+                .and_then(Value::as_f64)
                 .ok_or("missing wall_ms")?,
         })
     }
 }
 
-fn field_str(doc: &Json, key: &str) -> Result<String, String> {
+fn field_str(doc: &Value, key: &str) -> Result<String, String> {
     doc.get(key)
-        .and_then(Json::as_str)
+        .and_then(Value::as_str)
         .map(str::to_string)
         .ok_or_else(|| format!("missing field {key:?}"))
 }
 
-fn field_u64(doc: &Json, key: &str) -> Result<u64, String> {
+fn field_u64(doc: &Value, key: &str) -> Result<u64, String> {
     doc.get(key)
-        .and_then(Json::as_u64)
+        .and_then(Value::as_u64)
         .ok_or_else(|| format!("missing field {key:?}"))
 }
 
@@ -139,22 +139,6 @@ pub fn fmt_f64(v: f64) -> String {
     } else {
         "0".to_string()
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Everything a results file yielded: the intact rows (file order) plus the

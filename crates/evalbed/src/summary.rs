@@ -11,7 +11,7 @@
 
 use crate::metrics::{selected, HEADLINE, METRIC_NAMES};
 use crate::rows::{fmt_f64, ResultRow};
-use obs::json::{self, Json};
+use obs::json::{self, Value};
 
 /// Aggregates for one method, in run order.
 #[derive(Debug, Clone, PartialEq)]
@@ -219,7 +219,7 @@ impl Summary {
         let doc = json::parse(text).map_err(|e| format!("bad summary json: {e}"))?;
         let version = doc
             .get("v")
-            .and_then(Json::as_u64)
+            .and_then(Value::as_u64)
             .ok_or("missing summary version")?;
         if version != crate::rows::SCHEMA_VERSION as u64 {
             return Err(format!(
@@ -229,7 +229,7 @@ impl Summary {
         }
         let dataset_ids: Vec<usize> = doc
             .get("datasets")
-            .and_then(Json::as_arr)
+            .and_then(Value::as_arr)
             .ok_or("missing datasets")?
             .iter()
             .map(|j| j.as_u64().map(|v| v as usize).ok_or("bad dataset id"))
@@ -248,18 +248,18 @@ impl Summary {
                 .iter()
                 .map(|metric| {
                     obj.get(metric)
-                        .and_then(Json::as_f64)
+                        .and_then(Value::as_f64)
                         .ok_or_else(|| format!("missing mean {metric:?} for {name:?}"))
                 })
                 .collect::<Result<Vec<f64>, String>>()?;
             let n_test = obj
                 .get("n_test")
-                .and_then(Json::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or_else(|| format!("missing n_test for {name:?}"))?
                 as usize;
             let wall_ms = timing
                 .and_then(|t| t.get(name))
-                .and_then(Json::as_f64)
+                .and_then(Value::as_f64)
                 .unwrap_or(0.0);
             methods.push(MethodAggregate {
                 name: name.clone(),
@@ -271,7 +271,7 @@ impl Summary {
         }
         let wins: Vec<Vec<usize>> = doc
             .get("wins")
-            .and_then(Json::as_arr)
+            .and_then(Value::as_arr)
             .ok_or("missing wins")?
             .iter()
             .map(|row| {
@@ -283,10 +283,10 @@ impl Summary {
             })
             .collect::<Result<_, _>>()?;
         Ok(Summary {
-            smoke: matches!(doc.get("smoke"), Some(Json::Bool(true))),
-            archive_seed: doc.get("archive_seed").and_then(Json::as_u64).unwrap_or(0),
-            seed: doc.get("seed").and_then(Json::as_u64).unwrap_or(0),
-            epochs: doc.get("epochs").and_then(Json::as_u64).unwrap_or(0) as usize,
+            smoke: matches!(doc.get("smoke"), Some(Value::Bool(true))),
+            archive_seed: doc.get("archive_seed").and_then(Value::as_u64).unwrap_or(0),
+            seed: doc.get("seed").and_then(Value::as_u64).unwrap_or(0),
+            epochs: doc.get("epochs").and_then(Value::as_u64).unwrap_or(0) as usize,
             dataset_ids,
             metric_names,
             methods,
@@ -441,9 +441,9 @@ fn push_list(out: &mut String, items: impl Iterator<Item = String>) {
     }
 }
 
-fn str_list(doc: &Json, key: &str) -> Result<Vec<String>, String> {
+fn str_list(doc: &Value, key: &str) -> Result<Vec<String>, String> {
     doc.get(key)
-        .and_then(Json::as_arr)
+        .and_then(Value::as_arr)
         .ok_or_else(|| format!("missing field {key:?}"))?
         .iter()
         .map(|j| {

@@ -2,10 +2,10 @@
 //!
 //! Each eviction (or sweep) of stream `s` writes generation `g` as
 //! `s.g<8-digit>.ckpt` in the store directory, via a `.tmp` file renamed
-//! into place so a crash mid-write never clobbers the previous good
-//! generation. The payload (a TRIADS1 engine checkpoint, itself CRC'd) is
-//! wrapped in a second framing layer with its own magic, length field, and
-//! whole-file CRC-32 trailer:
+//! into place ([`persist::write_atomic`]) so a crash mid-write never
+//! clobbers the previous good generation. The payload (a TRIADS1 engine
+//! checkpoint, itself CRC'd) is wrapped in a second framing layer with its
+//! own magic, length field, and whole-file CRC-32 trailer:
 //!
 //! ```text
 //! magic   b"TRIADF1\n"
@@ -24,7 +24,7 @@
 
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use triad_core::persist::{read_exact_ctx, CrcReader, CrcWriter};
+use triad_core::persist::{self, read_exact_ctx, CrcReader, CrcWriter};
 
 const MAGIC: &[u8; 8] = b"TRIADF1\n";
 
@@ -102,8 +102,8 @@ impl CheckpointStore {
         out
     }
 
-    /// Write one generation atomically (tmp + rename). An existing file for
-    /// the same generation is replaced.
+    /// Write one generation atomically ([`persist::write_atomic`]). An
+    /// existing file for the same generation is replaced.
     pub fn put(&self, stream: &str, generation: u64, payload: &[u8]) -> Result<(), String> {
         if payload.len() as u64 > MAX_PAYLOAD {
             return Err(format!(
@@ -112,21 +112,15 @@ impl CheckpointStore {
             ));
         }
         let path = self.path_of(stream, generation);
-        let tmp = path.with_extension("ckpt.tmp");
-        let write = || -> std::io::Result<()> {
-            let f = std::fs::File::create(&tmp)?;
-            let mut w = CrcWriter::new(std::io::BufWriter::new(f));
+        persist::write_atomic(&path, |w| {
+            let mut w = CrcWriter::new(w);
             w.write_all(MAGIC)?;
             w.write_all(&generation.to_le_bytes())?;
             w.write_all(&(payload.len() as u64).to_le_bytes())?;
             w.write_all(payload)?;
-            w.finish()?;
-            std::fs::rename(&tmp, &path)
-        };
-        write().map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            format!("checkpoint write {path:?}: {e}")
+            w.finish()
         })
+        .map_err(|e: std::io::Error| format!("checkpoint write {path:?}: {e}"))
     }
 
     /// Read and verify one specific generation file.
@@ -311,11 +305,34 @@ mod tests {
     #[test]
     fn orphan_tmp_files_are_collected_on_open() {
         let store = temp_store("orphans");
-        std::fs::write(store.dir().join("s.g00000001.ckpt.tmp"), b"torn writer")
-            .expect("write orphan");
+        // The writer's own temp name, and the older `<file>.tmp` form.
+        for orphan in [".s.g00000001.ckpt.tmp", "s.g00000001.ckpt.tmp"] {
+            std::fs::write(store.dir().join(orphan), b"torn writer").expect("write orphan");
+        }
         let reopened = CheckpointStore::open(store.dir()).expect("reopen");
         assert_eq!(reopened.list(), Vec::new());
+        assert!(!store.dir().join(".s.g00000001.ckpt.tmp").exists());
         assert!(!store.dir().join("s.g00000001.ckpt.tmp").exists());
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn failed_put_keeps_the_previous_file_intact() {
+        let store = temp_store("atomic");
+        store.put("s", 1, b"first payload").expect("put g1");
+        let path = store.dir().join(file_name("s", 1));
+        let before = std::fs::read(&path).expect("read g1");
+
+        // A directory squatting on the temp path makes the write fail
+        // before anything could touch the target.
+        std::fs::create_dir(store.dir().join(".s.g00000001.ckpt.tmp")).expect("squat");
+        assert!(store.put("s", 1, b"second payload").is_err());
+        assert_eq!(std::fs::read(&path).expect("reread g1"), before);
+        assert_eq!(
+            store.latest("s"),
+            Some((1, b"first payload".to_vec())),
+            "the old generation still reads back"
+        );
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

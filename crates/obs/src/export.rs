@@ -7,7 +7,7 @@
 //! nanosecond timestamps and fields exactly (Chrome stores microseconds
 //! with three decimals, i.e. nanosecond resolution).
 
-use crate::json::{self, Json};
+use crate::json::{self, Value};
 use crate::trace::SpanRecord;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
@@ -27,22 +27,6 @@ pub struct ParsedSpan {
 
 // ----------------------------------------------------------------- writers
 
-fn esc(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// One span per line:
 /// `{"id":…,"parent":…,"tid":…,"name":"…","start_ns":…,"end_ns":…,"fields":{…}}`.
 pub fn to_jsonl(records: &[SpanRecord]) -> String {
@@ -53,7 +37,7 @@ pub fn to_jsonl(records: &[SpanRecord]) -> String {
             "{{\"id\":{},\"parent\":{},\"tid\":{},\"name\":\"",
             r.id, r.parent, r.tid
         );
-        esc(r.name, &mut out);
+        let _ = json::escape(r.name, &mut out);
         let _ = write!(
             out,
             "\",\"start_ns\":{},\"end_ns\":{},\"fields\":{{",
@@ -64,9 +48,9 @@ pub fn to_jsonl(records: &[SpanRecord]) -> String {
                 out.push(',');
             }
             out.push('"');
-            esc(k, &mut out);
+            let _ = json::escape(k, &mut out);
             out.push_str("\":\"");
-            esc(v, &mut out);
+            let _ = json::escape(v, &mut out);
             out.push('"');
         }
         out.push_str("}}\n");
@@ -90,7 +74,7 @@ pub fn to_chrome(records: &[SpanRecord]) -> String {
             out.push(',');
         }
         out.push_str("\n{\"name\":\"");
-        esc(r.name, &mut out);
+        let _ = json::escape(r.name, &mut out);
         let _ = write!(
             out,
             "\",\"cat\":\"triad\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{\"id\":{},\"parent\":{}",
@@ -102,9 +86,9 @@ pub fn to_chrome(records: &[SpanRecord]) -> String {
         );
         for (k, v) in &r.fields {
             out.push_str(",\"");
-            esc(k, &mut out);
+            let _ = json::escape(k, &mut out);
             out.push_str("\":\"");
-            esc(v, &mut out);
+            let _ = json::escape(v, &mut out);
             out.push('"');
         }
         out.push_str("}}");
@@ -115,9 +99,9 @@ pub fn to_chrome(records: &[SpanRecord]) -> String {
 
 // ----------------------------------------------------------------- parsers
 
-fn field_u64(obj: &Json, key: &str) -> Result<u64, String> {
+fn field_u64(obj: &Value, key: &str) -> Result<u64, String> {
     obj.get(key)
-        .and_then(Json::as_u64)
+        .and_then(Value::as_u64)
         .ok_or_else(|| format!("missing/bad {key:?}"))
 }
 
@@ -131,11 +115,11 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<ParsedSpan>, String> {
         let v = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
         let name = v
             .get("name")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| format!("line {}: missing name", lineno + 1))?
             .to_string();
         let mut fields = Vec::new();
-        if let Some(entries) = v.get("fields").and_then(Json::entries) {
+        if let Some(entries) = v.get("fields").and_then(Value::entries) {
             for (k, fv) in entries {
                 let s = fv
                     .as_str()
@@ -169,23 +153,23 @@ pub fn parse_chrome(text: &str) -> Result<Vec<ParsedSpan>, String> {
     let doc = json::parse(text)?;
     let events = doc
         .get("traceEvents")
-        .and_then(Json::as_arr)
+        .and_then(Value::as_arr)
         .ok_or_else(|| "missing traceEvents array".to_string())?;
     let mut out = Vec::new();
     for (i, ev) in events.iter().enumerate() {
         let ctx = |e: String| format!("event {i}: {e}");
         let name = ev
             .get("name")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| ctx("missing name".into()))?
             .to_string();
         let ts = ev
             .get("ts")
-            .and_then(Json::as_f64)
+            .and_then(Value::as_f64)
             .ok_or_else(|| ctx("missing ts".into()))?;
         let dur = ev
             .get("dur")
-            .and_then(Json::as_f64)
+            .and_then(Value::as_f64)
             .ok_or_else(|| ctx("missing dur".into()))?;
         let args = ev.get("args").ok_or_else(|| ctx("missing args".into()))?;
         let mut fields = Vec::new();

@@ -4,9 +4,10 @@
 //! Design constraints (see DESIGN.md "Observability layer"):
 //!
 //! * **Zero dependencies.** `obs` sits below `core`, `serve`, `stream` and
-//!   `parallel` in the crate graph, so it uses nothing but std — including
-//!   its own minimal JSON reader ([`json`]) for round-trip validation of
-//!   exported traces.
+//!   `parallel` in the crate graph, so it uses nothing but std. That is
+//!   also why it hosts the workspace's one JSON module ([`json`]): the
+//!   trace exporters, the serve protocol and the evalbed files all read
+//!   and write through it.
 //! * **Near-zero disabled path.** Every instrumentation macro-free entry
 //!   point ([`span`], [`span_with_parent`], [`record_span`]) starts with a
 //!   single relaxed atomic load; when tracing is off nothing else runs — no

@@ -26,14 +26,14 @@
 //! `stats` verb in both configurations.
 //!
 //! [`client`] is the matching blocking client used by `triad client` and the
-//! integration tests; [`json`] is the dependency-free JSON layer whose
-//! deterministic output makes bit-for-bit response comparison valid.
+//! integration tests. The protocol's JSON is [`obs::json`], re-exported here
+//! as [`json`] and [`Value`]; its deterministic output makes bit-for-bit
+//! response comparison valid.
 
 #![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod client;
-pub mod json;
 pub mod metrics;
 pub mod proto;
 pub mod registry;
@@ -41,7 +41,8 @@ pub mod server;
 
 pub use batch::{BatchPolicy, Batcher};
 pub use client::Client;
-pub use json::Value;
 pub use metrics::{Histogram, HistogramSnapshot, Metrics};
+pub use obs::json;
+pub use obs::json::Value;
 pub use registry::{ModelInfo, ModelRegistry};
 pub use server::{start, ServeConfig, ServerHandle};

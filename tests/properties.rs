@@ -1,7 +1,10 @@
 //! Property-based tests (proptest) over the substrate invariants the whole
 //! pipeline leans on.
 
+use obs::json::{self, Value};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A periodic test signal with deterministic jitter — cheap to generate,
 /// rich enough for the pipeline to find a period and for MERLIN to have
@@ -15,6 +18,100 @@ fn jittered_sine(n: usize, period: usize, phase: u64) -> Vec<f64> {
                 + 0.05 * (((i as u64 * 37 + phase * 13) % 97) as f64 / 97.0 - 0.5)
         })
         .collect()
+}
+
+/// Characters the JSON writer must escape or pass through untouched:
+/// quotes, backslashes, control characters, DEL and non-ASCII text.
+const TRICKY_CHARS: [char; 16] = [
+    '"',
+    '\\',
+    '/',
+    '\n',
+    '\r',
+    '\t',
+    '\u{0}',
+    '\u{8}',
+    '\u{c}',
+    '\u{1f}',
+    '\u{7f}',
+    'é',
+    '—',
+    '€',
+    '😀',
+    '\u{10FFFF}',
+];
+
+fn random_string(rng: &mut StdRng) -> String {
+    (0..rng.random_range(0usize..12))
+        .map(|_| {
+            if rng.random_bool(0.5) {
+                TRICKY_CHARS[rng.random_range(0..TRICKY_CHARS.len())]
+            } else {
+                char::from_u32(rng.random_range(0x20u32..0xD800)).expect("below surrogates")
+            }
+        })
+        .collect()
+}
+
+/// A random finite float, drawn from all bit patterns (subnormals, huge
+/// exponents, negative zero) rather than from a range.
+fn random_finite(rng: &mut StdRng) -> f64 {
+    loop {
+        let x = f64::from_bits(rng.random::<u64>());
+        if x.is_finite() {
+            return x;
+        }
+    }
+}
+
+/// A seeded random JSON tree at most `depth` containers deep.
+fn random_json(rng: &mut StdRng, depth: usize) -> Value {
+    if depth > 0 && rng.random_bool(0.6) {
+        let len = rng.random_range(0usize..5);
+        return if rng.random_bool(0.5) {
+            Value::Arr((0..len).map(|_| random_json(rng, depth - 1)).collect())
+        } else {
+            Value::Obj(
+                (0..len)
+                    .map(|_| (random_string(rng), random_json(rng, depth - 1)))
+                    .collect(),
+            )
+        };
+    }
+    match rng.random_range(0..4) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.random()),
+        2 => Value::Num(random_finite(rng)),
+        _ => Value::Str(random_string(rng)),
+    }
+}
+
+/// Every number in `v`, as bits, in document order.
+fn number_bits(v: &Value, out: &mut Vec<u64>) {
+    match v {
+        Value::Num(n) => out.push(n.to_bits()),
+        Value::Arr(items) => items.iter().for_each(|it| number_bits(it, out)),
+        Value::Obj(fields) => fields.iter().for_each(|(_, it)| number_bits(it, out)),
+        _ => {}
+    }
+}
+
+/// `depth` nested containers, each an array or an object as `rng` picks.
+fn nested(rng: &mut StdRng, depth: usize) -> String {
+    let mut closers = Vec::with_capacity(depth);
+    let mut text = String::new();
+    for _ in 0..depth {
+        if rng.random_bool(0.5) {
+            text.push('[');
+            closers.push(']');
+        } else {
+            text.push_str("{\"k\":");
+            closers.push('}');
+        }
+    }
+    text.push('0');
+    text.extend(closers.iter().rev());
+    text
 }
 
 proptest! {
@@ -210,6 +307,55 @@ proptest! {
                     w, stride, b, start, got, spec[b]
                 );
             }
+        }
+    }
+
+    /// The workspace's one JSON writer and parser round-trip any tree:
+    /// `parse(v.to_string()) == v`, with every float bit-exact and
+    /// strings full of quotes, backslashes, control and non-ASCII text.
+    #[test]
+    fn json_round_trips_random_trees(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let v = random_json(&mut rng, 5);
+        let text = v.to_string();
+        let back = json::parse(&text);
+        prop_assert!(back.as_ref() == Ok(&v), "{:?} via {}", back, text);
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        number_bits(&v, &mut want);
+        number_bits(&back.expect("parsed"), &mut got);
+        prop_assert_eq!(want, got);
+    }
+
+    /// The parser never panics, whatever the line: arbitrary bytes decoded
+    /// lossily, alone, spliced into a document, and every prefix of a
+    /// valid document.
+    #[test]
+    fn json_parse_never_panics(
+        bytes in prop::collection::vec(0u8..=255, 0..200),
+        seed in any::<u64>(),
+    ) {
+        let junk = String::from_utf8_lossy(&bytes);
+        let _ = json::parse(&junk);
+        let _ = json::parse(&format!("{{\"verb\":[\"{junk}"));
+        let _ = json::parse(&format!("[1,{junk}]"));
+        let text = random_json(&mut StdRng::seed_from_u64(seed), 3).to_string();
+        for (cut, _) in text.char_indices() {
+            let _ = json::parse(&text[..cut]);
+        }
+    }
+
+    /// At most 64 nested containers parse; one more is an error, however
+    /// arrays and objects are mixed.
+    #[test]
+    fn json_nesting_deeper_than_64_is_rejected(
+        seed in any::<u64>(),
+        extra in 1usize..400,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let depth = rng.random_range(1usize..=64);
+        prop_assert!(json::parse(&nested(&mut rng, depth)).is_ok());
+        for deeper in [65, 64 + extra] {
+            prop_assert!(json::parse(&nested(&mut rng, deeper)).is_err());
         }
     }
 }

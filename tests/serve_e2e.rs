@@ -6,13 +6,18 @@
 //! (asserted via the `stats` counters), detection correctness within ±100
 //! points of the ground-truth event, bit-for-bit identical responses across
 //! evict/reload, and a graceful shutdown that drains an in-flight request.
+//! A second case sends hostile request lines over a raw socket: a request
+//! padded with a 4 MiB string must be answered within seconds, and a
+//! non-finite number must be refused with an error envelope.
 
 mod common;
 
 use common::{easy_dataset, spawn_server, stat_counter, wait_until, CLIENT_TIMEOUT};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
-use triad_serve::{Client, ServeConfig, Value};
+use triad_serve::{json, Client, ServeConfig, Value};
 
 fn range_of(v: &Value, key: &str) -> (usize, usize) {
     let arr = v.get(key).and_then(Value::as_arr).unwrap_or_else(|| {
@@ -184,5 +189,56 @@ fn serve_fit_batch_detect_evict_shutdown() {
         Client::connect(&addr, Duration::from_millis(500)).is_err(),
         "server still accepting after shutdown"
     );
+    let _ = std::fs::remove_dir_all(&models_dir);
+}
+
+/// Write one raw request line, read one response line and parse it.
+fn raw_call(conn: &mut BufReader<TcpStream>, line: &str) -> Value {
+    let w = conn.get_mut();
+    w.write_all(line.as_bytes()).expect("send");
+    w.write_all(b"\n").expect("send");
+    w.flush().expect("flush");
+    let mut buf = String::new();
+    let n = conn
+        .read_line(&mut buf)
+        .expect("response within the read timeout");
+    assert!(n > 0, "server closed the connection");
+    json::parse(buf.trim()).expect("response is JSON")
+}
+
+#[test]
+fn long_strings_and_non_finite_numbers_get_prompt_envelopes() {
+    let models_dir = common::tmp_dir("serve_e2e_hostile");
+    let (handle, addr) = spawn_server(common::ephemeral_serve_cfg(&models_dir));
+    let stream = TcpStream::connect(&addr).expect("connect");
+    // String parsing is linear: 4 MiB parses in milliseconds, so 20 s is a
+    // wide margin that a per-character rescan of the input would blow.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut conn = BufReader::new(stream);
+
+    let pad = "a".repeat(4 << 20);
+    let padded = raw_call(&mut conn, &format!(r#"{{"verb":"health","pad":"{pad}"}}"#));
+    assert_eq!(padded.get("ok").and_then(Value::as_bool), Some(true));
+
+    // The connection survives and keeps answering.
+    let again = raw_call(&mut conn, r#"{"verb":"health"}"#);
+    assert_eq!(again.get("ok").and_then(Value::as_bool), Some(true));
+
+    let inf = raw_call(
+        &mut conn,
+        r#"{"verb":"detect","model":"m","series":[1,2,1e999,3]}"#,
+    );
+    assert_eq!(inf.get("ok").and_then(Value::as_bool), Some(false), "{inf}");
+    let error = inf.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(
+        error.contains("bad JSON"),
+        "not refused by the parser: {inf}"
+    );
+
+    let bye = raw_call(&mut conn, r#"{"verb":"shutdown"}"#);
+    assert_eq!(bye.get("ok").and_then(Value::as_bool), Some(true));
+    handle.wait();
     let _ = std::fs::remove_dir_all(&models_dir);
 }

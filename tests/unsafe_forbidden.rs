@@ -25,7 +25,11 @@ fn every_crate_root_forbids_unsafe_code() {
         }
     }
     missing.sort();
-    assert!(checked > 0, "no crate roots found under {}", crates.display());
+    assert!(
+        checked > 0,
+        "no crate roots found under {}",
+        crates.display()
+    );
     assert!(
         missing.is_empty(),
         "crates whose src/lib.rs lacks #![forbid(unsafe_code)]: {missing:?}"
