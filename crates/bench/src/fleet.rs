@@ -20,6 +20,8 @@
 //! * **refit** — every run must complete at least one drift-triggered
 //!   refit (the workload is built so drift genuinely fires).
 
+use crate::{elapsed_ms, Fnv};
+use obs::json::Value;
 use obs::now_instant;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -76,44 +78,40 @@ struct SoakReport {
     refits_ok: bool,
 }
 
+impl SoakRun {
+    fn to_json(&self) -> Value {
+        Value::obj(vec![
+            ("threads", self.threads.into()),
+            ("wall_ms", self.wall_ms.into()),
+            ("points_per_sec", self.points_per_sec.into()),
+            ("checksum", format!("{:016x}", self.checksum).into()),
+            ("resident_bytes_max", self.resident_bytes_max.into()),
+            ("evictions", self.evictions.into()),
+            ("rehydrations", self.rehydrations.into()),
+            ("compacted_files", self.compacted_files.into()),
+            ("drift_events", self.drift_events.into()),
+            ("refits_completed", self.refits_completed.into()),
+            ("refits_failed", self.refits_failed.into()),
+        ])
+    }
+}
+
 impl SoakReport {
-    fn to_json(&self) -> String {
-        let runs: Vec<String> = self
-            .runs
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"threads\": {}, \"wall_ms\": {:.3}, \"points_per_sec\": {:.1}, \
-                     \"checksum\": \"{:016x}\", \"resident_bytes_max\": {}, \
-                     \"evictions\": {}, \"rehydrations\": {}, \"compacted_files\": {}, \
-                     \"drift_events\": {}, \"refits_completed\": {}, \"refits_failed\": {}}}",
-                    r.threads,
-                    r.wall_ms,
-                    r.points_per_sec,
-                    r.checksum,
-                    r.resident_bytes_max,
-                    r.evictions,
-                    r.rehydrations,
-                    r.compacted_files,
-                    r.drift_events,
-                    r.refits_completed,
-                    r.refits_failed
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"stage\": \"fleet-soak\",\n  \"smoke\": {},\n  \"streams\": {},\n  \
-             \"points_per_stream\": {},\n  \"budget_bytes\": {},\n  \"runs\": [\n{}\n  ],\n  \
-             \"bit_identical\": {},\n  \"residency_ok\": {},\n  \"refits_ok\": {}\n}}\n",
-            self.smoke,
-            self.streams,
-            self.points_per_stream,
-            self.budget_bytes,
-            runs.join(",\n"),
-            self.bit_identical,
-            self.residency_ok,
-            self.refits_ok
-        )
+    fn to_json(&self) -> Value {
+        Value::obj(vec![
+            ("stage", "fleet-soak".into()),
+            ("smoke", self.smoke.into()),
+            ("streams", self.streams.into()),
+            ("points_per_stream", self.points_per_stream.into()),
+            ("budget_bytes", self.budget_bytes.into()),
+            (
+                "runs",
+                Value::Arr(self.runs.iter().map(SoakRun::to_json).collect()),
+            ),
+            ("bit_identical", self.bit_identical.into()),
+            ("residency_ok", self.residency_ok.into()),
+            ("refits_ok", self.refits_ok.into()),
+        ])
     }
 
     fn summary(&self) -> String {
@@ -129,29 +127,6 @@ impl SoakReport {
              bit-identical {} → FLEET_soak.json",
             self.streams, self.budget_bytes, max_res, refits, self.bit_identical
         )
-    }
-}
-
-/// FNV-1a 64-bit (same folding as the perf harness; f64 via `to_bits`).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn done(self) -> u64 {
-        self.0
     }
 }
 
@@ -343,7 +318,7 @@ fn soak(
             (None, None) => h.bytes(b"no-output"),
         }
     }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let wall_ms = elapsed_ms(t0);
     let stats = mgr.fleet_stats();
     resident_max = resident_max.max(stats.resident_bytes);
     drop(mgr);
@@ -354,7 +329,7 @@ fn soak(
         threads,
         wall_ms,
         points_per_sec: if wall_ms > 0.0 {
-            total_points / (wall_ms / 1e3)
+            (total_points / (wall_ms / 1e3)).round()
         } else {
             0.0
         },
@@ -424,7 +399,8 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<Vec<String>, String> {
         refits_ok,
     };
     let path = opts.out_dir.join("FLEET_soak.json");
-    std::fs::write(&path, report.to_json()).map_err(|e| format!("{path:?}: {e}"))?;
+    std::fs::write(&path, format!("{}\n", report.to_json()))
+        .map_err(|e| format!("{path:?}: {e}"))?;
 
     if !report.bit_identical {
         return Err(format!(
@@ -463,26 +439,28 @@ mod tests {
         let lines = run_fleet(&opts).expect("fleet soak");
         assert_eq!(lines.len(), 1);
         let text = std::fs::read_to_string(dir.join("FLEET_soak.json")).unwrap();
+        // The compact keys scripts/ci.sh greps for.
         for key in [
-            "\"stage\": \"fleet-soak\"",
-            "\"streams\"",
-            "\"points_per_stream\"",
-            "\"budget_bytes\"",
-            "\"runs\"",
-            "\"threads\"",
-            "\"points_per_sec\"",
-            "\"checksum\"",
-            "\"resident_bytes_max\"",
-            "\"evictions\"",
-            "\"rehydrations\"",
-            "\"drift_events\"",
-            "\"refits_completed\"",
-            "\"bit_identical\": true",
-            "\"residency_ok\": true",
-            "\"refits_ok\": true",
+            "\"stage\":\"fleet-soak\"",
+            "\"streams\":",
+            "\"points_per_stream\":",
+            "\"budget_bytes\":",
+            "\"runs\":",
+            "\"threads\":",
+            "\"points_per_sec\":",
+            "\"checksum\":\"",
+            "\"resident_bytes_max\":",
+            "\"evictions\":",
+            "\"rehydrations\":",
+            "\"drift_events\":",
+            "\"refits_completed\":",
+            "\"bit_identical\":true",
+            "\"residency_ok\":true",
+            "\"refits_ok\":true",
         ] {
             assert!(text.contains(key), "missing {key} in {text}");
         }
+        obs::json::parse(&text).expect("FLEET_soak.json is JSON");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,8 +3,10 @@
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see DESIGN.md's experiment index). This library holds the common
 //! machinery: metric bundles, TriAD/baseline runners, a tiny CLI-flag
-//! parser, crossbeam-scoped parallel map, and plain-text table/series
-//! printers (figures are emitted as gnuplot-ready columns).
+//! parser, an order-preserving parallel map over the `parallel` pool,
+//! plain-text table/series printers (figures are emitted as gnuplot-ready
+//! columns), and the fixed-seed series and FNV-1a checksum shared by the
+//! `triad bench` / `triad fleet` gates and `triad trace`.
 //!
 //! Scale note: the paper trains 250 datasets × 5 seeds on GPUs; the binaries
 //! default to a laptop-scale subset and expose `--datasets`, `--seeds`,
@@ -209,6 +211,61 @@ where
     parallel::map_indexed(parallel::ambient(), items, |_, item| f(item))
 }
 
+/// FNV-1a 64-bit, folded over the canonical byte encoding of each value.
+/// Stable across runs and platforms (f64 hashed via `to_bits`), so a
+/// checksum printed on one machine can be compared on another.
+pub struct Fnv(u64);
+
+impl Fnv {
+    pub fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+    pub fn usize(&mut self, v: usize) {
+        self.u64(v as u64);
+    }
+    pub fn done(self) -> u64 {
+        self.0
+    }
+}
+
+/// The fixed-seed harness series: a two-harmonic periodic signal with
+/// deterministic jitter and a frequency-shift anomaly halfway into the test
+/// split. Returns `(train, test)`.
+pub fn make_series(n_train: usize, n_test: usize, period: usize) -> (Vec<f64>, Vec<f64>) {
+    use std::f64::consts::PI;
+    let p = period as f64;
+    let mut full: Vec<f64> = (0..n_train + n_test)
+        .map(|i| {
+            (2.0 * PI * i as f64 / p).sin()
+                + 0.3 * (4.0 * PI * i as f64 / p).sin()
+                + 0.02 * (((i * 37) % 97) as f64 / 97.0 - 0.5)
+        })
+        .collect();
+    let a0 = n_train + n_test / 2;
+    for i in a0..(a0 + 2 * period).min(full.len()) {
+        full[i] = (8.0 * PI * i as f64 / p).sin();
+    }
+    let test = full.split_off(n_train);
+    (full, test)
+}
+
+/// Milliseconds since `t0`, rounded to the microsecond — the one
+/// informational wall-time field of the bench and fleet files.
+pub fn elapsed_ms(t0: std::time::Instant) -> f64 {
+    (t0.elapsed().as_secs_f64() * 1e6).round() / 1e3
+}
+
 /// Fixed-width table printer.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
@@ -292,6 +349,33 @@ mod tests {
         let items: Vec<usize> = (0..100).collect();
         let out = par_map(&items, |&x| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fnv_is_order_sensitive_and_stable() {
+        let mut a = Fnv::new();
+        a.f64(1.0);
+        a.f64(2.0);
+        let mut b = Fnv::new();
+        b.f64(2.0);
+        b.f64(1.0);
+        assert_ne!(a.done(), b.done());
+        let mut c = Fnv::new();
+        c.bytes(b"hello");
+        // Reference FNV-1a 64 of "hello".
+        assert_eq!(c.done(), 0xa430_d846_80aa_bd0b);
+    }
+
+    #[test]
+    fn make_series_splits_and_injects_the_anomaly_in_test() {
+        let (train, test) = make_series(64, 128, 16);
+        assert_eq!((train.len(), test.len()), (64, 128));
+        let (whole, empty) = make_series(192, 0, 16);
+        assert!(empty.is_empty());
+        // Identical up to the anomaly, which only the test split carries.
+        assert_eq!(&whole[..64], &train[..]);
+        assert_eq!(&whole[64..128], &test[..64]);
+        assert_ne!(&whole[128..160], &test[64..96]);
     }
 
     #[test]

@@ -1,162 +1,72 @@
-//! `triad bench` — the fixed-seed performance harness for the parallel
-//! runtime.
+//! `triad bench` — the determinism gate over the hot-path workloads.
 //!
-//! Runs each hot-path workload (train, detect, stream, discord) at 1/2/4/8
-//! worker threads and writes one `BENCH_<stage>.json` per stage with wall
-//! time, speedup relative to the serial (1-thread) run, and an FNV-1a
-//! checksum of the stage's outputs. The checksum doubles as a determinism
-//! probe: the parallel runtime's contract is that every thread count yields
-//! bit-identical results, so the harness fails loudly if any checksum
-//! disagrees (the test suite proves the same property exhaustively in
-//! `tests/parallel_determinism.rs`).
+//! Runs each fixed-seed workload (train, detect, stream, discord) at every
+//! thread count in [`THREAD_COUNTS`], and each mode-dependent one in both
+//! numeric modes, then writes one `BENCH.json`: one row per (stage, mode,
+//! threads) run with an FNV-1a checksum of the stage's outputs and one
+//! informational `wall_ms`, plus the core count. The parallel runtime's
+//! contract is that the thread count never changes a bit, so the verb fails
+//! if any (stage, mode) pair's checksums differ — after writing the file,
+//! so the divergence can be inspected. `tests/parallel_determinism.rs`
+//! proves the same property over every archive anomaly kind.
 //!
-//! `--smoke` shrinks every workload to CI scale while keeping the JSON
-//! schema identical, so `scripts/ci.sh` can validate the output shape on
-//! any machine. Speedups are *measured*, never asserted here — they depend
-//! on physical cores (a single-core container reports ~1.0x).
+//! Timing is not this harness's job: `perfbench/` (declared in
+//! `BENCHMARK.json`) measures wall time with repetitions and noise records.
+//! `--smoke` shrinks every workload to CI scale with the same file shape.
 
+use obs::json::Value;
 use obs::now_instant;
 use std::path::PathBuf;
 
+use crate::{elapsed_ms, make_series, Fnv};
 use discord::fast::merlin_fast;
 use discord::merlin::{merlin, MerlinConfig};
 use triad_core::{persist, NumericMode, TriAd, TriadConfig, TriadDetection};
 use triad_stream::{StreamConfig, StreamEngine};
-use tsops::mass::SelfJoinPlan;
 
-/// Worker-thread counts every stage is swept over.
-pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Worker-thread counts every stage runs at: serial, and the parallel
+/// count the fleet soak, evalbed and CI lanes use.
+pub const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 /// Options parsed from `triad bench` flags.
 pub struct BenchOptions {
-    /// CI scale: tiny workloads, one repetition, same JSON schema.
+    /// CI scale: tiny workloads, same file shape.
     pub smoke: bool,
-    /// Where the `BENCH_<stage>.json` files land.
+    /// Where `BENCH.json` lands.
     pub out_dir: PathBuf,
-    /// Subset of stages to run (empty = all of
-    /// train/detect/stream/discord/kernels).
-    pub stages: Vec<String>,
-    /// Numeric kernel mode for the detect/stream stages. The discord stage
-    /// always measures *both* modes (that comparison is its whole point),
-    /// and train/kernels are mode-independent.
-    pub numeric_mode: NumericMode,
 }
 
-/// One timed run of a stage at a fixed thread count.
-struct ThreadRun {
-    threads: usize,
-    wall_ms: f64,
-    speedup_vs_serial: f64,
-    checksum: u64,
-}
-
-/// Everything written to `BENCH_<stage>.json`.
-struct StageReport {
+/// One (stage, mode, threads) run. `mode` is `None` for train, which never
+/// runs the discord kernels the mode selects.
+struct Row {
     stage: &'static str,
-    smoke: bool,
-    workload: String,
-    runs: Vec<ThreadRun>,
-    /// Fast-numeric-mode sweep (discord stage only; empty elsewhere).
-    /// `runs` stays the exact-mode sweep so the schema and any baseline
-    /// comparisons against older files keep their meaning.
-    fast_runs: Vec<ThreadRun>,
-    bit_identical: bool,
+    mode: Option<NumericMode>,
+    threads: usize,
+    checksum: u64,
+    wall_ms: f64,
 }
 
-fn runs_json(runs: &[ThreadRun]) -> String {
-    let rows: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"threads\": {}, \"wall_ms\": {:.3}, \
-                 \"speedup_vs_serial\": {:.3}, \"checksum\": \"{:016x}\"}}",
-                r.threads, r.wall_ms, r.speedup_vs_serial, r.checksum
-            )
-        })
-        .collect();
-    rows.join(",\n")
-}
-
-impl StageReport {
-    /// Fast-mode serial time vs exact-mode serial time (discord only).
-    fn fast_speedup_vs_exact(&self) -> Option<f64> {
-        let exact = self.runs.first()?.wall_ms;
-        let fast = self.fast_runs.first()?.wall_ms;
-        (fast > 0.0).then(|| exact / fast)
-    }
-
-    fn to_json(&self) -> String {
-        let fast = match self.fast_speedup_vs_exact() {
-            Some(s) => format!(
-                "  \"fast_runs\": [\n{}\n  ],\n  \"fast_speedup_vs_exact\": {:.3},\n",
-                runs_json(&self.fast_runs),
-                s
-            ),
-            None => String::new(),
-        };
-        format!(
-            "{{\n  \"stage\": \"{}\",\n  \"smoke\": {},\n  \"workload\": \"{}\",\n  \
-             \"runs\": [\n{}\n  ],\n{}  \"bit_identical\": {}\n}}\n",
-            self.stage,
-            self.smoke,
-            self.workload,
-            runs_json(&self.runs),
-            fast,
-            self.bit_identical
-        )
-    }
-
-    fn summary(&self) -> String {
-        let serial = self.runs.first().map(|r| r.wall_ms).unwrap_or(0.0);
-        let at4 = self
-            .runs
-            .iter()
-            .find(|r| r.threads == 4)
-            .map(|r| r.speedup_vs_serial)
-            .unwrap_or(1.0);
-        let fast = match self.fast_speedup_vs_exact() {
-            Some(s) => format!(
-                ", fast 1t {:.1} ms ({s:.1}x vs exact)",
-                self.fast_runs[0].wall_ms
-            ),
-            None => String::new(),
-        };
-        format!(
-            "{:7} : 1t {:9.1} ms, 4t speedup {:.2}x{}, bit-identical {} → BENCH_{}.json",
-            self.stage, serial, at4, fast, self.bit_identical, self.stage
-        )
-    }
-}
-
-/// FNV-1a 64-bit, folded over the canonical byte encoding of each value.
-/// Stable across runs and platforms (f64 hashed via `to_bits`).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+impl Row {
+    fn label(&self) -> String {
+        match self.mode {
+            Some(mode) => format!("{}/{mode}", self.stage),
+            None => self.stage.to_string(),
         }
     }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn f32(&mut self, v: f32) {
-        self.u64(v.to_bits() as u64);
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn done(self) -> u64 {
-        self.0
+
+    fn to_json(&self) -> Value {
+        Value::obj(vec![
+            ("stage", self.stage.into()),
+            ("mode", self.mode.map_or(Value::Null, |m| m.as_str().into())),
+            ("threads", self.threads.into()),
+            ("checksum", format!("{:016x}", self.checksum).into()),
+            ("wall_ms", self.wall_ms.into()),
+        ])
     }
 }
+
+/// A prepared stage: maps a thread count to the checksum of its outputs.
+type Run = Box<dyn FnMut(usize) -> Result<u64, String>>;
 
 fn hash_detection(h: &mut Fnv, det: &TriadDetection) {
     for &v in &det.votes {
@@ -187,91 +97,10 @@ fn hash_detection(h: &mut Fnv, det: &TriadDetection) {
     h.u64(det.used_fallback as u64);
 }
 
-/// The harness series: a two-harmonic periodic signal with deterministic
-/// jitter and a frequency-shift anomaly inside the test split — the same
-/// family the pipeline tests train on, scaled up.
-fn make_series(n_train: usize, n_test: usize, period: usize) -> (Vec<f64>, Vec<f64>) {
-    use std::f64::consts::PI;
-    let p = period as f64;
-    let mut full: Vec<f64> = (0..n_train + n_test)
-        .map(|i| {
-            (2.0 * PI * i as f64 / p).sin()
-                + 0.3 * (4.0 * PI * i as f64 / p).sin()
-                + 0.02 * (((i * 37) % 97) as f64 / 97.0 - 0.5)
-        })
-        .collect();
-    let a0 = n_train + n_test / 2;
-    for i in a0..(a0 + 2 * period).min(n_train + n_test) {
-        full[i] = (8.0 * PI * i as f64 / p).sin();
-    }
-    (full[..n_train].to_vec(), full[n_train..].to_vec())
-}
-
-/// Sweep `run` over [`THREAD_COUNTS`], timing `reps` repetitions (best-of)
-/// and demanding the checksum is stable across repetitions.
-fn sweep(
-    stage: &str,
-    reps: usize,
-    mut run: impl FnMut(usize) -> Result<u64, String>,
-) -> Result<Vec<ThreadRun>, String> {
-    let mut runs: Vec<ThreadRun> = Vec::new();
-    let mut serial_ms = 0.0;
-    for &t in &THREAD_COUNTS {
-        let mut best = f64::INFINITY;
-        let mut checksum = 0u64;
-        for rep in 0..reps.max(1) {
-            let t0 = now_instant();
-            let c = run(t)?;
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            if rep == 0 {
-                checksum = c;
-            } else if c != checksum {
-                return Err(format!(
-                    "{stage}: output changed between repetitions at {t} threads \
-                     ({checksum:016x} vs {c:016x})"
-                ));
-            }
-            best = best.min(ms);
-        }
-        if t == 1 {
-            serial_ms = best;
-        }
-        runs.push(ThreadRun {
-            threads: t,
-            wall_ms: best,
-            speedup_vs_serial: if best > 0.0 { serial_ms / best } else { 0.0 },
-            checksum,
-        });
-    }
-    Ok(runs)
-}
-
-fn report(stage: &'static str, smoke: bool, workload: String, runs: Vec<ThreadRun>) -> StageReport {
-    let bit_identical = runs.windows(2).all(|w| w[0].checksum == w[1].checksum);
-    StageReport {
-        stage,
-        smoke,
-        workload,
-        runs,
-        fast_runs: Vec::new(),
-        bit_identical,
-    }
-}
-
-/// Attach a fast-mode sweep to a report. Bit-identity is demanded *within*
-/// each mode (the modes' checksums legitimately differ — that is what
-/// "tolerance-equivalent" means).
-fn with_fast(mut rep: StageReport, fast_runs: Vec<ThreadRun>) -> StageReport {
-    rep.bit_identical =
-        rep.bit_identical && fast_runs.windows(2).all(|w| w[0].checksum == w[1].checksum);
-    rep.fast_runs = fast_runs;
-    rep
-}
-
-/// Train stage: full `fit` with sharded gradient accumulation
-/// (`grad_shards = 4`), checksummed over the persisted TRIAD2 bytes plus
-/// the per-epoch loss curve — the strongest train-side identity probe.
-fn stage_train(smoke: bool, reps: usize) -> Result<StageReport, String> {
+/// Train: full `fit` of n=1536 (smoke 512) at period 32 with sharded
+/// gradient accumulation (`grad_shards = 4`), checksummed over the
+/// persisted TRIAD2 bytes plus the per-epoch loss curve.
+fn stage_train(smoke: bool) -> Run {
     let (n_train, period) = if smoke { (512, 32) } else { (1536, 32) };
     let (train, _) = make_series(n_train, 0, period);
     let cfg = TriadConfig {
@@ -283,7 +112,7 @@ fn stage_train(smoke: bool, reps: usize) -> Result<StageReport, String> {
         seed: 7,
         ..TriadConfig::default()
     };
-    let runs = sweep("train", reps, |t| {
+    Box::new(move |t| {
         let mut c = cfg.clone();
         c.threads = t;
         let fitted = TriAd::new(c).fit(&train)?;
@@ -295,18 +124,16 @@ fn stage_train(smoke: bool, reps: usize) -> Result<StageReport, String> {
             h.f64(l);
         }
         Ok(h.done())
-    })?;
-    Ok(report(
-        "train",
-        smoke,
-        format!("fit n={n_train} (period {period}, grad_shards 4)"),
-        runs,
-    ))
+    })
 }
 
-/// Detect stage: one serial fit, then the full inference pipeline
-/// (embedding, ranking, selection, MERLIN, voting) timed per thread count.
-fn stage_detect(smoke: bool, reps: usize, mode: NumericMode) -> Result<StageReport, String> {
+/// The detect and stream stages share one workload: fit n=1024 (smoke 512)
+/// once, serially, then score a test split of n=4096 (smoke 512).
+fn fit_for_scoring(
+    smoke: bool,
+    epochs: usize,
+    mode: NumericMode,
+) -> Result<(triad_core::FittedTriad, Vec<f64>), String> {
     let (n_train, n_test, period) = if smoke {
         (512, 512, 32)
     } else {
@@ -314,7 +141,7 @@ fn stage_detect(smoke: bool, reps: usize, mode: NumericMode) -> Result<StageRepo
     };
     let (train, test) = make_series(n_train, n_test, period);
     let cfg = TriadConfig {
-        epochs: if smoke { 1 } else { 2 },
+        epochs,
         depth: if smoke { 2 } else { 3 },
         hidden: if smoke { 8 } else { 24 },
         batch: 8,
@@ -323,47 +150,30 @@ fn stage_detect(smoke: bool, reps: usize, mode: NumericMode) -> Result<StageRepo
         numeric_mode: mode,
         ..TriadConfig::default()
     };
-    let mut fitted = TriAd::new(cfg).fit(&train)?;
-    let runs = sweep("detect", reps, |t| {
+    Ok((TriAd::new(cfg).fit(&train)?, test))
+}
+
+/// Detect: the full inference pipeline (embedding, ranking, selection,
+/// MERLIN, voting) over the test split.
+fn stage_detect(smoke: bool, mode: NumericMode) -> Result<Run, String> {
+    let (mut fitted, test) = fit_for_scoring(smoke, if smoke { 1 } else { 2 }, mode)?;
+    Ok(Box::new(move |t| {
         fitted.set_threads(t);
-        let det = fitted.detect(&test);
         let mut h = Fnv::new();
-        hash_detection(&mut h, &det);
+        hash_detection(&mut h, &fitted.detect(&test));
         Ok(h.done())
-    })?;
-    Ok(report(
-        "detect",
-        smoke,
-        format!("fit n={n_train}, detect n={n_test} (period {period}, {mode})"),
-        runs,
-    ))
+    }))
 }
 
-/// Stream stage: sample-at-a-time replay through the incremental engine
-/// plus the offline-equivalent `finalize`, per thread count.
-fn stage_stream(smoke: bool, reps: usize, mode: NumericMode) -> Result<StageReport, String> {
-    let (n_train, n_test, period) = if smoke {
-        (512, 512, 32)
-    } else {
-        (1024, 4096, 32)
-    };
-    let (train, test) = make_series(n_train, n_test, period);
-    let cfg = TriadConfig {
-        epochs: 1,
-        depth: if smoke { 2 } else { 3 },
-        hidden: if smoke { 8 } else { 24 },
-        batch: 8,
-        merlin_step: if smoke { 8 } else { 2 },
-        seed: 7,
-        numeric_mode: mode,
-        ..TriadConfig::default()
-    };
-    let mut fitted = TriAd::new(cfg).fit(&train)?;
+/// Stream: sample-at-a-time replay of the test split through the
+/// incremental engine, then the offline-equivalent `finalize`.
+fn stage_stream(smoke: bool, mode: NumericMode) -> Result<Run, String> {
+    let (mut fitted, test) = fit_for_scoring(smoke, 1, mode)?;
     let scfg = StreamConfig {
-        capacity: n_test + 1,
+        capacity: test.len() + 1,
         ..StreamConfig::default()
     };
-    let runs = sweep("stream", reps, |t| {
+    Ok(Box::new(move |t| {
         fitted.set_threads(t);
         let mut engine = StreamEngine::new(&fitted, scfg.clone());
         for &x in &test {
@@ -381,19 +191,13 @@ fn stage_stream(smoke: bool, reps: usize, mode: NumericMode) -> Result<StageRepo
         let det = engine.finalize(&fitted).map_err(|e| e.to_string())?;
         hash_detection(&mut h, &det);
         Ok(h.done())
-    })?;
-    Ok(report(
-        "stream",
-        smoke,
-        format!("replay n={n_test} + finalize (period {period}, {mode})"),
-        runs,
-    ))
+    }))
 }
 
-/// Discord stage: the MERLIN length sweep alone, at bench scale. Both
-/// numeric modes are always measured — `runs` is the exact ladder, the
-/// extra `fast_runs`/`fast_speedup_vs_exact` keys are the MASS kernels.
-fn stage_discord(smoke: bool, reps: usize) -> Result<StageReport, String> {
+/// Discord: the MERLIN length sweep alone over n=1200 (smoke 300),
+/// lengths 8..=96 step 1 (smoke 8..=32 step 4) — the DRAG ladder in exact
+/// mode, the MASS self-join kernels in fast mode.
+fn stage_discord(smoke: bool, mode: NumericMode) -> Run {
     let (n, min_len, max_len, step) = if smoke {
         (300, 8, 32, 4)
     } else {
@@ -401,377 +205,105 @@ fn stage_discord(smoke: bool, reps: usize) -> Result<StageReport, String> {
     };
     let (series, _) = make_series(n, 0, 25);
     let mcfg = MerlinConfig::new(min_len, max_len).with_step(step);
-    let hash_discords = |found: &[discord::Discord]| {
+    Box::new(move |t| {
+        let found = parallel::with_ambient(t, || match mode {
+            NumericMode::Exact => merlin(&series, mcfg),
+            NumericMode::Fast => merlin_fast(&series, mcfg),
+        });
         let mut h = Fnv::new();
-        for d in found {
+        for d in &found {
             h.usize(d.index);
             h.usize(d.length);
             h.f64(d.distance);
         }
-        h.done()
-    };
-    let runs = sweep("discord", reps, |t| {
-        Ok(hash_discords(&parallel::with_ambient(t, || {
-            merlin(&series, mcfg)
-        })))
-    })?;
-    let fast_runs = sweep("discord (fast)", reps, |t| {
-        Ok(hash_discords(&parallel::with_ambient(t, || {
-            merlin_fast(&series, mcfg)
-        })))
-    })?;
-    Ok(with_fast(
-        report(
-            "discord",
-            smoke,
-            format!("merlin n={n}, lengths {min_len}..={max_len} step {step}"),
-            runs,
-        ),
-        fast_runs,
-    ))
-}
-
-/// One kernel-vs-naive comparison in `BENCH_kernels.json`.
-struct KernelRun {
-    kernel: &'static str,
-    workload: String,
-    naive_ms: f64,
-    fast_ms: f64,
-    checksum: u64,
-}
-
-/// Everything written to `BENCH_kernels.json`. Same top-level shape as a
-/// [`StageReport`] (stage/smoke/workload/runs/bit_identical, hex checksum
-/// strings) so the CI schema check treats every bench file alike; the per-run
-/// speedup is `speedup_vs_naive` because the reference here is the scalar
-/// kernel, not a serial thread count.
-struct KernelReport {
-    smoke: bool,
-    runs: Vec<KernelRun>,
-    bit_identical: bool,
-}
-
-impl KernelReport {
-    fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .runs
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"kernel\": \"{}\", \"workload\": \"{}\", \"naive_ms\": {:.3}, \
-                     \"fast_ms\": {:.3}, \"speedup_vs_naive\": {:.3}, \"checksum\": \"{:016x}\"}}",
-                    r.kernel,
-                    r.workload,
-                    r.naive_ms,
-                    r.fast_ms,
-                    if r.fast_ms > 0.0 {
-                        r.naive_ms / r.fast_ms
-                    } else {
-                        0.0
-                    },
-                    r.checksum
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"stage\": \"kernels\",\n  \"smoke\": {},\n  \
-             \"workload\": \"hot kernels vs scalar references\",\n  \
-             \"runs\": [\n{}\n  ],\n  \"bit_identical\": {}\n}}\n",
-            self.smoke,
-            rows.join(",\n"),
-            self.bit_identical
-        )
-    }
-
-    fn summary(&self) -> String {
-        let per: Vec<String> = self
-            .runs
-            .iter()
-            .map(|r| {
-                format!(
-                    "{} {:.1}x",
-                    r.kernel,
-                    if r.fast_ms > 0.0 {
-                        r.naive_ms / r.fast_ms
-                    } else {
-                        0.0
-                    }
-                )
-            })
-            .collect();
-        format!(
-            "kernels : {}, bit-identical {} → BENCH_kernels.json",
-            per.join(", "),
-            self.bit_identical
-        )
-    }
-}
-
-/// Deterministic pseudo-random fill in [-0.5, 0.5) — no RNG dependency, and
-/// the pattern has no structure a kernel could shortcut on.
-fn synth(i: usize, salt: usize) -> f64 {
-    (((i * 37 + salt * 101) % 997) as f64) / 997.0 - 0.5
-}
-
-/// Time `run` over `reps` repetitions (best-of), demanding a stable
-/// checksum, and return `(best_ms, checksum)`.
-fn time_best(reps: usize, mut run: impl FnMut() -> u64, label: &str) -> Result<(f64, u64), String> {
-    let mut best = f64::INFINITY;
-    let mut checksum = 0u64;
-    for rep in 0..reps.max(1) {
-        let t0 = now_instant();
-        let c = run();
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        if rep == 0 {
-            checksum = c;
-        } else if c != checksum {
-            return Err(format!(
-                "kernels/{label}: output changed between repetitions"
-            ));
-        }
-        best = best.min(ms);
-    }
-    Ok((best, checksum))
-}
-
-/// Kernels stage: each hot kernel against a scalar reference on the same
-/// data. Speedups are informational; what is *gated* is that each kernel's
-/// output is reproduction-stable and thread-count-invariant, and that it
-/// agrees with its reference (bit-identically for the blocked f32 kernels,
-/// which reorder nothing per output element; within FFT tolerance for the
-/// sliding-dot kernel).
-fn stage_kernels(smoke: bool, reps: usize) -> Result<KernelReport, String> {
-    let mut runs = Vec::new();
-    let mut identical = true;
-
-    // --- sliding dot products: SelfJoinPlan (FFT) vs the naive O(n·m) loop.
-    {
-        let (n, m) = if smoke { (2048, 64) } else { (16384, 256) };
-        let series: Vec<f64> = (0..n).map(|i| synth(i, 1)).collect();
-        let query = &series[..m];
-        let (naive_ms, _) = time_best(
-            reps,
-            || {
-                let mut h = Fnv::new();
-                for i in 0..=n - m {
-                    let dot: f64 = series[i..i + m]
-                        .iter()
-                        .zip(query)
-                        .map(|(&a, &b)| a * b)
-                        .sum();
-                    h.f64(dot);
-                }
-                h.done()
-            },
-            "sliding_dot naive",
-        )?;
-        let plan = SelfJoinPlan::new(&series, m);
-        let (fast_ms, checksum) = time_best(
-            reps,
-            || {
-                let dots = plan.sliding_dots(query);
-                let mut h = Fnv::new();
-                for &d in &dots {
-                    h.f64(d);
-                }
-                h.done()
-            },
-            "sliding_dot fast",
-        )?;
-        // Tolerance gate: the FFT path must agree with the naive loop.
-        let dots = plan.sliding_dots(query);
-        for (i, &d) in dots.iter().enumerate() {
-            let naive: f64 = series[i..i + m]
-                .iter()
-                .zip(query)
-                .map(|(&a, &b)| a * b)
-                .sum();
-            if (d - naive).abs() > 1e-6 * (1.0 + naive.abs()) {
-                return Err(format!(
-                    "kernels/sliding_dot: FFT dot diverged at {i}: {d} vs {naive}"
-                ));
-            }
-        }
-        runs.push(KernelRun {
-            kernel: "sliding_dot",
-            workload: format!("n={n} m={m}"),
-            naive_ms,
-            fast_ms,
-            checksum,
-        });
-    }
-
-    // --- matmul: the blocked graph kernel vs the textbook scalar loop.
-    {
-        let d = if smoke { 48 } else { 160 };
-        let a: Vec<f32> = (0..d * d).map(|i| synth(i, 2) as f32).collect();
-        let b: Vec<f32> = (0..d * d).map(|i| synth(i, 3) as f32).collect();
-        let (naive_ms, naive_sum) = time_best(
-            reps,
-            || {
-                let mut h = Fnv::new();
-                for i in 0..d {
-                    for j in 0..d {
-                        let mut acc = 0.0f32;
-                        for kk in 0..d {
-                            acc += a[i * d + kk] * b[kk * d + j];
-                        }
-                        h.f32(acc);
-                    }
-                }
-                h.done()
-            },
-            "matmul naive",
-        )?;
-        let run_graph = |threads: usize| {
-            parallel::with_ambient(threads, || {
-                let mut g = neuro::Graph::new();
-                let na = g.input(neuro::Tensor::from_vec(&[d, d], a.clone()));
-                let nb = g.input(neuro::Tensor::from_vec(&[d, d], b.clone()));
-                let out = g.matmul(na, nb);
-                let mut h = Fnv::new();
-                for &v in g.value(out).data() {
-                    h.f32(v);
-                }
-                h.done()
-            })
-        };
-        let (fast_ms, checksum) = time_best(reps, || run_graph(1), "matmul fast")?;
-        // The blocked kernel accumulates each element in the same k-ascending
-        // order as the scalar loop, so agreement is bit-exact — and so is the
-        // parallel split (row-disjoint).
-        identical &= checksum == naive_sum && run_graph(4) == checksum;
-        runs.push(KernelRun {
-            kernel: "matmul",
-            workload: format!("{d}x{d}x{d}"),
-            naive_ms,
-            fast_ms,
-            checksum,
-        });
-    }
-
-    // --- conv1d: the zipped-slice graph kernel vs the guarded scalar loop.
-    {
-        let (bsz, cin, cout, l, k, dilation) = if smoke {
-            (2, 4, 4, 128, 5, 2)
-        } else {
-            (8, 8, 8, 512, 9, 4)
-        };
-        let x: Vec<f32> = (0..bsz * cin * l).map(|i| synth(i, 4) as f32).collect();
-        let w: Vec<f32> = (0..cout * cin * k).map(|i| synth(i, 5) as f32).collect();
-        let bias: Vec<f32> = (0..cout).map(|i| synth(i, 6) as f32).collect();
-        let half = (k / 2) * dilation;
-        let (naive_ms, naive_sum) = time_best(
-            reps,
-            || {
-                let mut h = Fnv::new();
-                for bi in 0..bsz {
-                    for co in 0..cout {
-                        let mut orow = vec![bias[co]; l];
-                        for ci in 0..cin {
-                            for kk in 0..k {
-                                let wk = w[(co * cin + ci) * k + kk];
-                                for (t, o) in orow.iter_mut().enumerate() {
-                                    let src = t + kk * dilation;
-                                    if src >= half && src - half < l {
-                                        *o += wk * x[(bi * cin + ci) * l + src - half];
-                                    }
-                                }
-                            }
-                        }
-                        for &v in &orow {
-                            h.f32(v);
-                        }
-                    }
-                }
-                h.done()
-            },
-            "conv1d naive",
-        )?;
-        let run_graph = |threads: usize| {
-            parallel::with_ambient(threads, || {
-                let mut g = neuro::Graph::new();
-                let nx = g.input(neuro::Tensor::from_vec(&[bsz, cin, l], x.clone()));
-                let nw = g.input(neuro::Tensor::from_vec(&[cout, cin, k], w.clone()));
-                let nb = g.input(neuro::Tensor::from_vec(&[cout], bias.clone()));
-                let out = g.conv1d(nx, nw, nb, dilation);
-                let mut h = Fnv::new();
-                for &v in g.value(out).data() {
-                    h.f32(v);
-                }
-                h.done()
-            })
-        };
-        let (fast_ms, checksum) = time_best(reps, || run_graph(1), "conv1d fast")?;
-        identical &= checksum == naive_sum && run_graph(4) == checksum;
-        runs.push(KernelRun {
-            kernel: "conv1d",
-            workload: format!("B={bsz} Cin={cin} Cout={cout} L={l} K={k} d={dilation}"),
-            naive_ms,
-            fast_ms,
-            checksum,
-        });
-    }
-
-    Ok(KernelReport {
-        smoke,
-        runs,
-        bit_identical: identical,
+        Ok(h.done())
     })
 }
 
-/// Run the harness; returns human-readable summary lines (one per stage).
-/// Errors if a stage's outputs are not bit-identical across thread counts —
-/// the files are still written first so the discrepancy can be inspected.
-pub fn run_bench(opts: &BenchOptions) -> Result<Vec<String>, String> {
-    const ALL: [&str; 5] = ["train", "detect", "stream", "discord", "kernels"];
-    for s in &opts.stages {
-        if !ALL.contains(&s.as_str()) {
-            return Err(format!(
-                "unknown bench stage {s:?} (expected one of {ALL:?})"
-            ));
-        }
+/// Every (stage, mode) pair must hash identically at every thread count.
+/// The error names each pair that does not.
+fn gate(rows: &[Row]) -> Result<(), String> {
+    let broken: Vec<String> = rows
+        .iter()
+        .filter_map(|row| {
+            let first = rows
+                .iter()
+                .find(|r| r.stage == row.stage && r.mode == row.mode)?;
+            (row.checksum != first.checksum).then(|| {
+                format!(
+                    "{}: {:016x} at {} threads vs {:016x} at {} threads",
+                    row.label(),
+                    first.checksum,
+                    first.threads,
+                    row.checksum,
+                    row.threads
+                )
+            })
+        })
+        .collect();
+    if broken.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "outputs differ across thread counts: {}",
+            broken.join("; ")
+        ))
     }
-    let wanted = |s: &str| opts.stages.is_empty() || opts.stages.iter().any(|x| x == s);
-    std::fs::create_dir_all(&opts.out_dir).map_err(|e| e.to_string())?;
-    let reps = if opts.smoke { 1 } else { 2 };
+}
 
+/// Run every stage, write `BENCH.json`, and return one summary line per
+/// (stage, mode). Errors if any pair's checksums differ across thread
+/// counts; the file is written first.
+pub fn run_bench(opts: &BenchOptions) -> Result<Vec<String>, String> {
+    std::fs::create_dir_all(&opts.out_dir).map_err(|e| e.to_string())?;
+    let modes = [NumericMode::Exact, NumericMode::Fast];
+    let mut stages: Vec<(&'static str, Option<NumericMode>, Run)> =
+        vec![("train", None, stage_train(opts.smoke))];
+    for mode in modes {
+        stages.push(("detect", Some(mode), stage_detect(opts.smoke, mode)?));
+    }
+    for mode in modes {
+        stages.push(("stream", Some(mode), stage_stream(opts.smoke, mode)?));
+    }
+    for mode in modes {
+        stages.push(("discord", Some(mode), stage_discord(opts.smoke, mode)));
+    }
+
+    let mut rows = Vec::new();
     let mut out = Vec::new();
-    let mut broken = Vec::new();
-    for stage in ALL {
-        if !wanted(stage) {
-            continue;
+    for (stage, mode, mut run) in stages {
+        let mut line = String::new();
+        for threads in THREAD_COUNTS {
+            let t0 = now_instant();
+            let checksum = run(threads)?;
+            let wall_ms = elapsed_ms(t0);
+            line += &format!(" {threads}t {wall_ms:9.1} ms {checksum:016x}");
+            rows.push(Row {
+                stage,
+                mode,
+                threads,
+                checksum,
+                wall_ms,
+            });
         }
-        if stage == "kernels" {
-            let rep = stage_kernels(opts.smoke, reps)?;
-            let path = opts.out_dir.join("BENCH_kernels.json");
-            std::fs::write(&path, rep.to_json()).map_err(|e| format!("{path:?}: {e}"))?;
-            if !rep.bit_identical {
-                broken.push("kernels");
-            }
-            out.push(rep.summary());
-            continue;
-        }
-        let rep = match stage {
-            "train" => stage_train(opts.smoke, reps)?,
-            "detect" => stage_detect(opts.smoke, reps, opts.numeric_mode)?,
-            "stream" => stage_stream(opts.smoke, reps, opts.numeric_mode)?,
-            _ => stage_discord(opts.smoke, reps)?,
-        };
-        let path = opts.out_dir.join(format!("BENCH_{}.json", rep.stage));
-        std::fs::write(&path, rep.to_json()).map_err(|e| format!("{path:?}: {e}"))?;
-        if !rep.bit_identical {
-            broken.push(rep.stage);
-        }
-        out.push(rep.summary());
+        let label = rows.last().map(Row::label).unwrap_or_default();
+        out.push(format!("{label:13}:{line}"));
     }
-    if !broken.is_empty() {
-        return Err(format!(
-            "stages {broken:?} were NOT bit-identical across thread counts — \
-             see BENCH_<stage>.json in {:?}",
-            opts.out_dir
-        ));
-    }
+
+    let verdict = gate(&rows);
+    let doc = Value::obj(vec![
+        ("smoke", opts.smoke.into()),
+        ("cores", parallel::cores().into()),
+        ("bit_identical", verdict.is_ok().into()),
+        ("rows", Value::Arr(rows.iter().map(Row::to_json).collect())),
+    ]);
+    let path = opts.out_dir.join("BENCH.json");
+    std::fs::write(&path, format!("{doc}\n")).map_err(|e| format!("{path:?}: {e}"))?;
+    verdict.map_err(|e| format!("{e} — see {path:?}"))?;
+    out.push(format!(
+        "bit-identical at threads {THREAD_COUNTS:?} → {}",
+        path.display()
+    ));
     Ok(out)
 }
 
@@ -779,89 +311,91 @@ pub fn run_bench(opts: &BenchOptions) -> Result<Vec<String>, String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn fnv_is_order_sensitive_and_stable() {
-        let mut a = Fnv::new();
-        a.f64(1.0);
-        a.f64(2.0);
-        let mut b = Fnv::new();
-        b.f64(2.0);
-        b.f64(1.0);
-        assert_ne!(a.done(), b.done());
-        let mut c = Fnv::new();
-        c.bytes(b"hello");
-        // Reference FNV-1a 64 of "hello".
-        assert_eq!(c.done(), 0xa430_d846_80aa_bd0b);
+    fn row(stage: &'static str, mode: Option<NumericMode>, threads: usize, checksum: u64) -> Row {
+        Row {
+            stage,
+            mode,
+            threads,
+            checksum,
+            wall_ms: 1.0,
+        }
     }
 
     #[test]
-    fn smoke_bench_writes_schema_complete_files() {
+    fn gate_names_the_stage_and_mode_whose_checksums_differ() {
+        let fast = Some(NumericMode::Fast);
+        let exact = Some(NumericMode::Exact);
+        let mut rows = vec![
+            row("train", None, 1, 7),
+            row("train", None, 4, 7),
+            row("detect", exact, 1, 1),
+            row("detect", exact, 4, 1),
+            // The modes legitimately hash differently; only threads may not.
+            row("detect", fast, 1, 2),
+            row("detect", fast, 4, 2),
+        ];
+        assert_eq!(gate(&rows), Ok(()));
+        rows[5].checksum = 3;
+        let err = gate(&rows).expect_err("diverging checksums must fail");
+        assert!(err.contains("detect/fast"), "{err}");
+        assert!(
+            !err.contains("detect/exact") && !err.contains("train"),
+            "{err}"
+        );
+        rows[1].checksum = 8;
+        let err = gate(&rows).expect_err("diverging checksums must fail");
+        assert!(
+            err.contains("train:") && err.contains("detect/fast"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn smoke_bench_writes_one_schema_complete_file() {
         let dir = std::env::temp_dir().join(format!("triad_bench_{}", std::process::id()));
         let opts = BenchOptions {
             smoke: true,
             out_dir: dir.clone(),
-            stages: vec!["discord".into()],
-            numeric_mode: NumericMode::Exact,
         };
         let lines = run_bench(&opts).expect("smoke bench");
-        assert_eq!(lines.len(), 1);
-        let text = std::fs::read_to_string(dir.join("BENCH_discord.json")).unwrap();
-        for key in [
-            "\"stage\"",
-            "\"smoke\"",
-            "\"workload\"",
-            "\"runs\"",
-            "\"threads\"",
-            "\"wall_ms\"",
-            "\"speedup_vs_serial\"",
-            "\"checksum\"",
-            "\"fast_runs\"",
-            "\"fast_speedup_vs_exact\"",
-            "\"bit_identical\": true",
-        ] {
-            assert!(text.contains(key), "missing {key} in {text}");
+        assert_eq!(lines.len(), 8, "{lines:?}");
+        let text = std::fs::read_to_string(dir.join("BENCH.json")).expect("BENCH.json");
+        let doc = obs::json::parse(&text).expect("BENCH.json is JSON");
+        assert_eq!(doc.get("smoke").and_then(Value::as_bool), Some(true));
+        assert_eq!(
+            doc.get("bit_identical").and_then(Value::as_bool),
+            Some(true)
+        );
+        assert!(doc
+            .get("cores")
+            .and_then(Value::as_u64)
+            .is_some_and(|c| c >= 1));
+        let rows = doc.get("rows").and_then(Value::as_arr).expect("rows");
+        assert_eq!(rows.len(), 7 * THREAD_COUNTS.len());
+        let mut pairs = Vec::new();
+        for r in rows {
+            let stage = r.get("stage").and_then(Value::as_str).expect("stage");
+            let mode = r.get("mode").expect("mode");
+            assert_eq!(stage == "train", *mode == Value::Null, "{r}");
+            assert!(r.get("threads").and_then(Value::as_u64).is_some(), "{r}");
+            assert!(r.get("wall_ms").and_then(Value::as_f64).is_some(), "{r}");
+            let sum = r.get("checksum").and_then(Value::as_str).expect("checksum");
+            assert_eq!(sum.len(), 16, "{r}");
+            pairs.push(format!("{stage}/{}", mode.as_str().unwrap_or("-")));
         }
+        pairs.dedup();
+        assert_eq!(
+            pairs,
+            [
+                "train/-",
+                "detect/exact",
+                "detect/fast",
+                "stream/exact",
+                "stream/fast",
+                "discord/exact",
+                "discord/fast"
+            ]
+        );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn smoke_kernels_stage_writes_schema_complete_file() {
-        let dir = std::env::temp_dir().join(format!("triad_bench_k_{}", std::process::id()));
-        let opts = BenchOptions {
-            smoke: true,
-            out_dir: dir.clone(),
-            stages: vec!["kernels".into()],
-            numeric_mode: NumericMode::Exact,
-        };
-        let lines = run_bench(&opts).expect("kernels bench");
-        assert_eq!(lines.len(), 1);
-        let text = std::fs::read_to_string(dir.join("BENCH_kernels.json")).unwrap();
-        for key in [
-            "\"stage\": \"kernels\"",
-            "\"workload\"",
-            "\"runs\"",
-            "\"kernel\": \"sliding_dot\"",
-            "\"kernel\": \"matmul\"",
-            "\"kernel\": \"conv1d\"",
-            "\"naive_ms\"",
-            "\"fast_ms\"",
-            "\"speedup_vs_naive\"",
-            "\"checksum\"",
-            "\"bit_identical\": true",
-        ] {
-            assert!(text.contains(key), "missing {key} in {text}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn unknown_stage_is_rejected() {
-        let opts = BenchOptions {
-            smoke: true,
-            out_dir: std::env::temp_dir(),
-            stages: vec!["bogus".into()],
-            numeric_mode: NumericMode::Exact,
-        };
-        assert!(run_bench(&opts).is_err());
     }
 }

@@ -106,8 +106,7 @@ USAGE:
                [--numeric-mode exact|fast]
   triad stream --addr HOST:PORT --model NAME --test FILE
                [--stream NAME] [--chunk N]
-  triad bench  [--smoke] [--out-dir DIR] [--stages LIST]
-               [--numeric-mode exact|fast]
+  triad bench  [--smoke] [--out-dir DIR]
   triad fleet  [--smoke] [--out-dir DIR] [--streams N] [--budget BYTES]
                [--points N] [--numeric-mode exact|fast]
   triad evalbed [--smoke] [--out-dir DIR] [--datasets SPEC] [--methods LIST]
@@ -142,12 +141,12 @@ at any thread count.
 bit-exact reference ladder, `fast` switches the discord search to the
 FFT-backed MASS kernels — same discords within a 1e-6 tolerance, still
 bit-identical across thread counts within the mode.
-`bench` runs the fixed-seed perf harness (train/detect/stream/discord
-workloads at 1/2/4/8 threads, plus a `kernels` micro-stage comparing the
-blocked/FFT kernels against scalar references) and writes one
-BENCH_<stage>.json per stage into --out-dir (default `.`); the discord
-stage always measures both numeric modes; --smoke shrinks the workloads
-for CI and --stages narrows to a comma-separated subset.
+`bench` is the determinism gate: it runs the fixed-seed train, detect,
+stream and discord workloads at 1 and 4 threads (detect, stream and
+discord in both numeric modes) and writes BENCH.json into --out-dir
+(default `.`), one row per run with its output checksum and an
+informational wall time. It fails if any checksum changes with the thread
+count; --smoke shrinks the workloads for CI. Timing lives in perfbench/.
 `fleet` soaks the memory-budgeted fleet tier: opens --streams streams (far
 more than --budget resident-engine bytes can hold), pushes an archive-style
 workload with a sustained regime shift through them at each sweep thread
@@ -605,24 +604,24 @@ fn cmd_stream_remote(cli: &Cli) -> Result<Vec<String>, String> {
     Ok(out)
 }
 
-/// Run the fixed-seed perf harness (`crates/bench::perf`) and report where
-/// each `BENCH_<stage>.json` landed.
+/// Run the determinism gate (`crates/bench::perf`) and report where
+/// `BENCH.json` landed.
 fn cmd_bench(cli: &Cli) -> Result<Vec<String>, String> {
-    let stages: Vec<String> = match cli.get("stages") {
-        None | Some("") => Vec::new(),
-        Some(s) => s
-            .split(',')
-            .map(|t| t.trim().to_string())
-            .filter(|t| !t.is_empty())
-            .collect(),
-    };
-    let opts = bench::perf::BenchOptions {
+    // The gate always runs every stage in both numeric modes; a leftover
+    // `--stages` or `--numeric-mode` must not pass as if it had narrowed it.
+    if let Some((key, _)) = cli
+        .pairs
+        .iter()
+        .find(|(k, _)| k != "smoke" && k != "out-dir")
+    {
+        return Err(format!(
+            "bench takes only --smoke and --out-dir, got --{key}"
+        ));
+    }
+    bench::perf::run_bench(&bench::perf::BenchOptions {
         smoke: cli.get("smoke").is_some(),
         out_dir: PathBuf::from(cli.get("out-dir").unwrap_or(".")),
-        stages,
-        numeric_mode: numeric_mode_from(cli)?,
-    };
-    bench::perf::run_bench(&opts)
+    })
 }
 
 /// Soak the fleet tier under a byte budget (`crates/bench::fleet`) and
@@ -781,6 +780,15 @@ mod tests {
         let d = std::env::temp_dir().join(format!("triad_cli_{tag}"));
         std::fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    #[test]
+    fn bench_refuses_options_it_does_not_take() {
+        for flag in ["--stages", "--numeric-mode"] {
+            let cli = Cli::parse(&argv(&["bench", "--smoke", flag, "fast"])).unwrap();
+            let err = run(&cli).expect_err("bench must refuse the flag");
+            assert!(err.contains(flag), "{err}");
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! as a schema gate.
 
 use crate::Cli;
-use std::f64::consts::PI;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use triad_core::{persist, TriAd, TriadConfig};
@@ -20,26 +19,6 @@ use triad_fleet::{DriftPolicy, FleetConfig, FleetManager};
 /// The five stage-1..4 span names the pipeline must attribute individually
 /// (the ISSUE acceptance bar), checked under `--smoke`.
 const PIPELINE_STAGES: &[&str] = &["featurize", "rank", "narrow", "discord", "vote"];
-
-/// Deterministic two-harmonic series with a frequency-shift anomaly in the
-/// test half — the bench harness's workload shape, regenerated here so the
-/// trace verb stays independent of the bench crate's sizing knobs.
-fn make_series(n_train: usize, n_test: usize, period: usize) -> (Vec<f64>, Vec<f64>) {
-    let p = period as f64;
-    let mut full: Vec<f64> = (0..n_train + n_test)
-        .map(|i| {
-            (2.0 * PI * i as f64 / p).sin()
-                + 0.3 * (4.0 * PI * i as f64 / p).sin()
-                + 0.02 * (((i * 37) % 97) as f64 / 97.0 - 0.5)
-        })
-        .collect();
-    let a0 = n_train + n_test / 2;
-    for i in a0..(a0 + 2 * period).min(full.len()) {
-        full[i] = (8.0 * PI * i as f64 / p).sin();
-    }
-    let test = full.split_off(n_train);
-    (full, test)
-}
 
 fn fmt_us(ns: u64) -> String {
     format!("{:.1}", ns as f64 / 1_000.0)
@@ -60,7 +39,7 @@ pub(crate) fn cmd_trace(cli: &Cli) -> Result<Vec<String>, String> {
     } else {
         (1600, 960, 32, 6)
     };
-    let (train, test) = make_series(n_train, n_test, period);
+    let (train, test) = bench::make_series(n_train, n_test, period);
     let cfg = TriadConfig {
         epochs,
         depth: 3,

@@ -7,10 +7,12 @@
 //! Object key order is preserved on parse and emit, so a value serialized
 //! twice is byte-identical — the registry evict/reload test relies on that.
 //!
-//! The parser is a single linear pass over the bytes. It rejects trailing
-//! garbage, non-finite numbers (`1e999`), truncated `\u` escapes and more
-//! than 64 nested containers. Lone surrogates in `\u` escapes are replaced
-//! by U+FFFD; nothing in the workspace emits them.
+//! The parser is a single linear pass over the bytes that accepts exactly
+//! RFC 8259: numbers follow the grammar (no `1.`, `-.5`, `007` or `1.e5`),
+//! strings hold no raw control characters, and a `\u` surrogate pair
+//! decodes to one character while a lone surrogate is an error. It also
+//! rejects trailing garbage, non-finite numbers (`1e999`) and more than 64
+//! nested containers.
 
 use std::fmt::{self, Write};
 
@@ -299,13 +301,49 @@ impl Parser<'_> {
         }
     }
 
+    /// Advance over ASCII digits; returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
+        let bad = |p: &Self| {
+            let end = (p.pos + 1).min(p.b.len());
+            format!(
+                "bad number {:?} at byte {start}",
+                String::from_utf8_lossy(&p.b[start..end])
+            )
+        };
+        if self.peek() == Some(b'-') {
             self.pos += 1;
+        }
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(bad(self)),
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad(self));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(bad(self));
+            }
         }
         // The scanned bytes are ASCII, so this slice is on char boundaries.
         let text = &self.text[start..self.pos];
@@ -317,19 +355,28 @@ impl Parser<'_> {
     }
 
     /// A string literal. Unescaped runs are copied whole: the scan stops
-    /// only at `"` and `\`, both ASCII, so every run is valid UTF-8.
+    /// only at `"`, `\` and control bytes, all ASCII, so every run is
+    /// valid UTF-8.
     fn string(&mut self) -> Result<String, String> {
         self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
             let run = self.b[self.pos..]
                 .iter()
-                .position(|&c| c == b'"' || c == b'\\')
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
                 .ok_or_else(|| "unterminated string".to_string())?;
             out.push_str(&self.text[self.pos..self.pos + run]);
             self.pos += run;
-            if self.bump() == Some(b'"') {
-                return Ok(out);
+            match self.bump() {
+                Some(b'"') => return Ok(out),
+                Some(b'\\') => {}
+                c => {
+                    return Err(format!(
+                        "raw control character {:?} in string at byte {}",
+                        c.map(char::from),
+                        self.pos - 1
+                    ));
+                }
             }
             match self.bump() {
                 Some(b'"') => out.push('"'),
@@ -340,15 +387,36 @@ impl Parser<'_> {
                 Some(b'n') => out.push('\n'),
                 Some(b'r') => out.push('\r'),
                 Some(b't') => out.push('\t'),
-                Some(b'u') => {
-                    let code = self.hex4()?;
-                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                }
+                Some(b'u') => out.push(self.unicode_escape()?),
                 other => {
                     return Err(format!("bad escape {:?}", other.map(|c| c as char)));
                 }
             }
         }
+    }
+
+    /// The code point of a `\u` escape whose `\u` is already consumed. A
+    /// high surrogate must be followed by a `\u` low surrogate, and the
+    /// pair decodes to one supplementary-plane character.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos.saturating_sub(2);
+        let hi = self.hex4()?;
+        let code = match hi {
+            0xD800..=0xDBFF if self.b[self.pos..].starts_with(b"\\u") => {
+                self.pos += 2;
+                match self.hex4()? {
+                    lo @ 0xDC00..=0xDFFF => 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00),
+                    lo => {
+                        return Err(format!(
+                            "high surrogate \\u{hi:04x} followed by \\u{lo:04x} at byte {at}"
+                        ))
+                    }
+                }
+            }
+            0xD800..=0xDFFF => return Err(format!("lone surrogate \\u{hi:04x} at byte {at}")),
+            _ => hi,
+        };
+        char::from_u32(code).ok_or_else(|| format!("invalid code point {code:#x} at byte {at}"))
     }
 
     fn hex4(&mut self) -> Result<u32, String> {
@@ -555,8 +623,79 @@ mod tests {
     fn unicode_escapes_and_raw_utf8() {
         let v = parse(r#""café — ok""#).expect("parse");
         assert_eq!(v.as_str(), Some("café — ok"));
-        let v = parse(r#""\u00e9\u2014\ud800""#).expect("parse");
-        assert_eq!(v.as_str(), Some("é—\u{FFFD}"));
+        let v = parse(r#""\u00e9\u2014\uD83D\uDE00""#).expect("parse");
+        assert_eq!(v.as_str(), Some("é—😀"));
+        // A pair decodes to the same string as the raw character, so an
+        // escaping client and a raw-UTF-8 one name the same thing.
+        assert_eq!(parse(r#""\ud83d\ude00""#), parse("\"😀\""));
+        assert_ne!(parse(r#""\ud83d\ude00""#), parse(r#""\ud83d\ude01""#));
+        for lone in [
+            r#""\ud800""#,
+            r#""\ude00""#,
+            r#""\ud83d x""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ud83d\n""#,
+        ] {
+            assert!(parse(lone).is_err(), "{lone} parsed");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for (ok, want) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.5e-3", -0.0005),
+            ("1E+2", 100.0),
+            ("2e0", 2.0),
+            ("[7]", 7.0),
+        ] {
+            let v = parse(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
+            let n = v.as_arr().map_or(v.as_f64(), |a| a[0].as_f64());
+            assert_eq!(n, Some(want), "{ok}");
+        }
+        for bad in [
+            "1.",
+            "-.5",
+            ".5",
+            "007",
+            "01",
+            "-01",
+            "1.e5",
+            "+1",
+            "-",
+            "1e",
+            "1e+",
+            "1E-",
+            "0x10",
+            "1.5.",
+            "[1.]",
+            "[-]",
+            r#"{"a":00}"#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected() {
+        for bad in [
+            "\"a\u{1}b\"",
+            "\"a\nb\"",
+            "\"\t\"",
+            "\"\u{1f}\"",
+            "{\"k\u{0}\":1}",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
+        // Escaped, the same characters are fine, and DEL is not a control
+        // character in JSON's sense.
+        let v = parse(r#""a\u0001b\n\t""#).expect("escaped");
+        assert_eq!(v.as_str(), Some("a\u{1}b\n\t"));
+        assert_eq!(parse("\"\u{7f}\"").expect("DEL").as_str(), Some("\u{7f}"));
     }
 
     #[test]

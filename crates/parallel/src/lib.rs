@@ -65,10 +65,7 @@ impl Parallelism {
         } else if let Some(n) = env_threads() {
             n
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(AUTO_CAP)
+            cores().min(AUTO_CAP)
         };
         Parallelism {
             workers: workers.max(1),
@@ -102,6 +99,15 @@ impl Parallelism {
             workers: self.workers.min(useful.max(1)),
         }
     }
+}
+
+/// The machine's available parallelism (1 if it cannot be read), uncapped.
+/// Reported next to measurements so a thread count can be read against the
+/// cores that actually ran it.
+pub fn cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 fn env_threads() -> Option<usize> {

@@ -19,69 +19,30 @@ TRIAD_THREADS=4 cargo test --workspace -q
 echo "== stream soak (high-rate replay, kill-and-restore mid-run)"
 cargo test --release -q --test stream_soak -- --ignored
 
-echo "== triad bench --smoke (fixed-seed workloads at 1/2/4/8 threads)"
+echo "== triad bench --smoke (determinism gate: each stage at 1 and 4 threads, both numeric modes)"
 BENCH_DIR=$(mktemp -d)
 TRACE_DIR=$(mktemp -d)
-FAST_BENCH_DIR=$(mktemp -d)
+FAST_DIR=$(mktemp -d)
 FLEET_DIR_1=""
 FLEET_DIR_4=""
-trap 'rm -rf "$BENCH_DIR" "$TRACE_DIR" "$FAST_BENCH_DIR" "$FLEET_DIR_1" "$FLEET_DIR_4"' EXIT
+trap 'rm -rf "$BENCH_DIR" "$TRACE_DIR" "$FAST_DIR" "$FLEET_DIR_1" "$FLEET_DIR_4"' EXIT
+# The verb exits nonzero if any (stage, mode) checksum changes with the
+# thread count, after writing BENCH.json.
 cargo run -q --release -p triad-cli --bin triad -- bench --smoke --out-dir "$BENCH_DIR"
-for stage in train detect stream discord; do
-    f="$BENCH_DIR/BENCH_$stage.json"
-    [ -s "$f" ] || { echo "ERROR: missing $f" >&2; exit 1; }
-    for key in '"stage"' '"workload"' '"runs"' '"threads"' '"wall_ms"' \
-               '"speedup_vs_serial"' '"checksum"' '"bit_identical": true'; do
-        grep -q "$key" "$f" || {
-            echo "ERROR: $f missing $key" >&2
-            exit 1
-        }
-    done
-done
-# The discord stage measures both numeric modes in one run.
-for key in '"fast_runs"' '"fast_speedup_vs_exact"'; do
-    grep -q "$key" "$BENCH_DIR/BENCH_discord.json" || {
-        echo "ERROR: BENCH_discord.json missing $key" >&2
-        exit 1
-    }
-done
-# The kernels micro-stage has its own schema: per-kernel naive-vs-fast rows.
-f="$BENCH_DIR/BENCH_kernels.json"
-[ -s "$f" ] || { echo "ERROR: missing $f" >&2; exit 1; }
-for key in '"stage": "kernels"' '"workload"' '"runs"' '"kernel"' \
-           '"naive_ms"' '"fast_ms"' '"speedup_vs_naive"' '"checksum"' \
-           '"bit_identical": true'; do
-    grep -q "$key" "$f" || {
-        echo "ERROR: $f missing $key" >&2
-        exit 1
-    }
-done
-for kernel in sliding_dot matmul conv1d; do
-    grep -q "\"kernel\": \"$kernel\"" "$f" || {
-        echo "ERROR: $f missing kernel $kernel" >&2
-        exit 1
-    }
-done
-echo "   BENCH_{train,detect,stream,discord,kernels}.json schema-complete"
+[ -s "$BENCH_DIR/BENCH.json" ] || { echo "ERROR: missing BENCH.json" >&2; exit 1; }
+echo "   BENCH.json written, checksums thread-count invariant"
 
-echo "== numeric-mode fast lane (tolerance-equivalence gate + smoke under --numeric-mode fast)"
+echo "== numeric-mode fast lane (tolerance-equivalence gate + evalbed under --numeric-mode fast)"
 # The equivalence harness proves fast-mode discords match exact mode on every
-# archive anomaly kind; the smoke runs prove the flag is plumbed end to end —
-# including that fast mode reproduces the *exact-mode* committed evalbed
-# baseline, since voting consumes discord positions, never distances.
+# archive anomaly kind (the bench gate above already ran fast mode at 1 and 4
+# threads); the evalbed run proves the flag is plumbed end to end — fast mode
+# reproduces the *exact-mode* committed evalbed baseline, since voting
+# consumes discord positions, never distances.
 cargo test --release -q --test numeric_equivalence
-cargo run -q --release -p triad-cli --bin triad -- bench --smoke \
-    --numeric-mode fast --out-dir "$FAST_BENCH_DIR"
-for stage in detect stream discord; do
-    grep -q '"bit_identical": true' "$FAST_BENCH_DIR/BENCH_$stage.json" || {
-        echo "ERROR: fast-mode BENCH_$stage.json not bit-identical across threads" >&2
-        exit 1
-    }
-done
 cargo run -q --release -p triad-cli --bin triad -- evalbed --smoke \
-    --numeric-mode fast --out-dir "$FAST_BENCH_DIR/evalbed" \
+    --numeric-mode fast --out-dir "$FAST_DIR/evalbed" \
     --check evalbed_out/EVALBED_smoke.json
-echo "   fast lane green: equivalence tests, bench smoke, evalbed baseline check"
+echo "   fast lane green: equivalence tests, evalbed baseline check"
 
 echo "== triad fleet --smoke (memory-budgeted soak; gates at TRIAD_THREADS=1 and 4)"
 # The verb itself sweeps worker-thread counts {1,4} and gates on
@@ -97,19 +58,19 @@ for t in 1 4; do
         fleet --smoke --out-dir "$dir"
     f="$dir/FLEET_soak.json"
     [ -s "$f" ] || { echo "ERROR: missing $f" >&2; exit 1; }
-    for key in '"stage": "fleet-soak"' '"streams"' '"budget_bytes"' '"runs"' \
+    for key in '"stage":"fleet-soak"' '"streams"' '"budget_bytes"' '"runs"' \
                '"checksum"' '"resident_bytes_max"' '"evictions"' \
                '"rehydrations"' '"drift_events"' '"refits_completed"' \
-               '"bit_identical": true' '"residency_ok": true' \
-               '"refits_ok": true'; do
+               '"bit_identical":true' '"residency_ok":true' \
+               '"refits_ok":true'; do
         grep -q "$key" "$f" || {
             echo "ERROR: $f missing $key" >&2
             exit 1
         }
     done
 done
-SOAK_SUM_1=$(grep -o '"checksum": "[0-9a-f]*"' "$FLEET_DIR_1/FLEET_soak.json" | sort -u)
-SOAK_SUM_4=$(grep -o '"checksum": "[0-9a-f]*"' "$FLEET_DIR_4/FLEET_soak.json" | sort -u)
+SOAK_SUM_1=$(grep -o '"checksum":"[0-9a-f]*"' "$FLEET_DIR_1/FLEET_soak.json" | sort -u)
+SOAK_SUM_4=$(grep -o '"checksum":"[0-9a-f]*"' "$FLEET_DIR_4/FLEET_soak.json" | sort -u)
 [ -n "$SOAK_SUM_1" ] && [ "$SOAK_SUM_1" = "$SOAK_SUM_4" ] || {
     echo "ERROR: fleet soak checksums differ across TRIAD_THREADS envs:" >&2
     echo "  t=1: $SOAK_SUM_1" >&2

@@ -24,10 +24,17 @@
 //! A third case shares one fitted model between two threads detecting
 //! concurrently: `FittedTriad` is `Send + Sync`, and concurrent readers
 //! must each get exactly the serial detection.
+//!
+//! A fourth case pins the kernels underneath: the blocked `matmul` and the
+//! zipped `conv1d` accumulate every output element in the same order as
+//! the textbook scalar loops, so they must equal them bit for bit at 1 and
+//! 4 threads. (`tsops::mass`'s `sliding_dots_match_naive` covers the FFT
+//! sliding dot, which is only tolerance-equal.)
 
 mod common;
 
 use common::{dataset_of, quick_cfg, KINDS};
+use neuro::{Graph, Tensor};
 use triad_core::{persist, NumericMode, TriAd, TriadConfig, TriadDetection};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -114,5 +121,85 @@ fn concurrent_detects_on_one_shared_model_match_serial() {
                 );
             }
         }
+    }
+}
+
+/// Deterministic fill in [-0.5, 0.5) with no structure a kernel could
+/// shortcut on.
+fn synth(i: usize, salt: usize) -> f32 {
+    ((((i * 37 + salt * 101) % 997) as f64) / 997.0 - 0.5) as f32
+}
+
+/// Run one graph op at `threads` and return its output bits.
+fn graph_bits(threads: usize, op: impl FnOnce(&mut Graph) -> neuro::NodeId) -> Vec<u32> {
+    parallel::with_ambient(threads, || {
+        let mut g = Graph::new();
+        let out = op(&mut g);
+        g.value(out).data().iter().map(|v| v.to_bits()).collect()
+    })
+}
+
+#[test]
+fn blocked_kernels_equal_the_scalar_loops_at_every_thread_count() {
+    // Sizes large enough that both kernels split across 4 workers.
+    let d = 160;
+    let a: Vec<f32> = (0..d * d).map(|i| synth(i, 2)).collect();
+    let b: Vec<f32> = (0..d * d).map(|i| synth(i, 3)).collect();
+    let mut scalar = Vec::with_capacity(d * d);
+    for i in 0..d {
+        for j in 0..d {
+            let mut acc = 0.0f32;
+            for kk in 0..d {
+                acc += a[i * d + kk] * b[kk * d + j];
+            }
+            scalar.push(acc.to_bits());
+        }
+    }
+    for t in [1, 4] {
+        let blocked = graph_bits(t, |g| {
+            let na = g.input(Tensor::from_vec(&[d, d], a.clone()));
+            let nb = g.input(Tensor::from_vec(&[d, d], b.clone()));
+            g.matmul(na, nb)
+        });
+        assert!(
+            blocked == scalar,
+            "matmul differs from the scalar loop at {t} threads"
+        );
+    }
+
+    let (bsz, cin, cout, l, k, dilation) = (8, 8, 8, 512, 9, 4);
+    let x: Vec<f32> = (0..bsz * cin * l).map(|i| synth(i, 4)).collect();
+    let w: Vec<f32> = (0..cout * cin * k).map(|i| synth(i, 5)).collect();
+    let bias: Vec<f32> = (0..cout).map(|i| synth(i, 6)).collect();
+    let half = (k / 2) * dilation;
+    let mut scalar = Vec::with_capacity(bsz * cout * l);
+    for bi in 0..bsz {
+        for co in 0..cout {
+            let mut orow = vec![bias[co]; l];
+            for ci in 0..cin {
+                for kk in 0..k {
+                    let wk = w[(co * cin + ci) * k + kk];
+                    for (t, o) in orow.iter_mut().enumerate() {
+                        let src = t + kk * dilation;
+                        if src >= half && src - half < l {
+                            *o += wk * x[(bi * cin + ci) * l + src - half];
+                        }
+                    }
+                }
+            }
+            scalar.extend(orow.iter().map(|v| v.to_bits()));
+        }
+    }
+    for t in [1, 4] {
+        let zipped = graph_bits(t, |g| {
+            let nx = g.input(Tensor::from_vec(&[bsz, cin, l], x.clone()));
+            let nw = g.input(Tensor::from_vec(&[cout, cin, k], w.clone()));
+            let nb = g.input(Tensor::from_vec(&[cout], bias.clone()));
+            g.conv1d(nx, nw, nb, dilation)
+        });
+        assert!(
+            zipped == scalar,
+            "conv1d differs from the scalar loop at {t} threads"
+        );
     }
 }

@@ -8,7 +8,10 @@
 //! evict/reload, and a graceful shutdown that drains an in-flight request.
 //! A second case sends hostile request lines over a raw socket: a request
 //! padded with a 4 MiB string must be answered within seconds, and a
-//! non-finite number must be refused with an error envelope.
+//! non-finite number must be refused with an error envelope. The same case
+//! holds the parser to RFC 8259: an escaped surrogate pair decodes to the
+//! same name as raw UTF-8, while a lone surrogate or `007` gets an error
+//! envelope.
 
 mod common;
 
@@ -226,16 +229,46 @@ fn long_strings_and_non_finite_numbers_get_prompt_envelopes() {
     let again = raw_call(&mut conn, r#"{"verb":"health"}"#);
     assert_eq!(again.get("ok").and_then(Value::as_bool), Some(true));
 
-    let inf = raw_call(
+    // A `\u`-escaping client (Python's default `json.dumps`) sends U+1F600
+    // as a surrogate pair; it must arrive as the one character a raw-UTF-8
+    // client would send. The id is echoed as is, and the stream name comes
+    // back inside the name-validation error.
+    let escaped = raw_call(
         &mut conn,
+        r#"{"verb":"stream.poll","id":"\ud83d\ude00","stream":"s\uD83D\uDE00"}"#,
+    );
+    let raw = raw_call(
+        &mut conn,
+        r#"{"verb":"stream.poll","id":"😀","stream":"s😀"}"#,
+    );
+    assert_eq!(
+        escaped.get("id").and_then(Value::as_str),
+        Some("😀"),
+        "{escaped}"
+    );
+    assert_eq!(escaped.to_string(), raw.to_string());
+    let error = escaped.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(error.contains("\"s😀\""), "{escaped}");
+    assert!(!error.contains('\u{FFFD}'), "{escaped}");
+
+    // A non-finite number, a lone surrogate and a leading zero are not JSON.
+    for line in [
         r#"{"verb":"detect","model":"m","series":[1,2,1e999,3]}"#,
-    );
-    assert_eq!(inf.get("ok").and_then(Value::as_bool), Some(false), "{inf}");
-    let error = inf.get("error").and_then(Value::as_str).unwrap_or("");
-    assert!(
-        error.contains("bad JSON"),
-        "not refused by the parser: {inf}"
-    );
+        r#"{"verb":"stream.poll","stream":"s\ud83d"}"#,
+        r#"{"verb":"detect","model":"m","series":[1,007,3]}"#,
+    ] {
+        let refused = raw_call(&mut conn, line);
+        assert_eq!(
+            refused.get("ok").and_then(Value::as_bool),
+            Some(false),
+            "{refused}"
+        );
+        let error = refused.get("error").and_then(Value::as_str).unwrap_or("");
+        assert!(
+            error.contains("bad JSON"),
+            "not refused by the parser: {refused}"
+        );
+    }
 
     let bye = raw_call(&mut conn, r#"{"verb":"shutdown"}"#);
     assert_eq!(bye.get("ok").and_then(Value::as_bool), Some(true));
