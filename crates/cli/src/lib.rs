@@ -96,9 +96,10 @@ USAGE:
   triad gen    --out FILE [--seed N] [--id N]
   triad eval   --pred FILE --labels FILE
   triad serve  [--addr HOST:PORT] [--models DIR] [--workers N] [--executors N]
-               [--max-batch N] [--max-delay-ms N] [--cache N] [--threads N]
-               [--stream-shards N] [--stream-queue N] [--stream-checkpoints DIR]
-               [--fleet-budget BYTES] [--numeric-mode exact|fast]
+               [--request-timeout-ms N] [--idle-timeout-ms N] [--cache N]
+               [--threads N] [--stream-shards N] [--stream-queue N]
+               [--stream-checkpoints DIR] [--fleet-budget BYTES]
+               [--numeric-mode exact|fast]
   triad client --verb VERB [--addr HOST:PORT] [--model NAME]
                [--series FILE] [--train FILE] [--epochs N] [--seed N]
   triad stream --test FILE (--model FILE | --train FILE [--epochs N])
@@ -119,9 +120,14 @@ USAGE:
                [--include-vendor] [--fixture]
 
 Series files hold one sample per line (UCR archive format accepted).
+Every command refuses a flag it does not take.
 `detect` prints the flagged region; with --labels it also prints metrics.
 `gen` writes a synthetic dataset named with the UCR convention next to --out.
-`serve` blocks until a client sends the shutdown verb; `client` verbs are
+`serve` blocks until a client sends the shutdown verb. Each request runs on
+the connection worker (--workers) that read it; --executors N caps how many
+detects run at once, and a detect that waits --request-timeout-ms (default
+30000) for its turn gets a timeout error. --idle-timeout-ms (default 10000)
+closes a connection that sends nothing for that long. `client` verbs are
 health, list, stats (add --format text for the plain-text dump), fit,
 detect, evict, shutdown, and the stream.* family — responses print as one
 JSON line. Open streams are written to --stream-checkpoints (default
@@ -210,8 +216,53 @@ fn config_from(cli: &Cli) -> Result<TriadConfig, String> {
     })
 }
 
+/// The flags each command reads, space-separated; `None` for `help` and
+/// unknown commands, which print the usage text whatever the flags. [`run`]
+/// refuses any other flag, so a misspelled or retired option fails instead
+/// of being silently ignored.
+fn flags_of(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "fit" => "train model epochs seed merlin-step threads numeric-mode",
+        "detect" => "test train model labels epochs seed merlin-step threads numeric-mode",
+        "gen" => "out seed id",
+        "eval" => "pred labels",
+        "serve" => {
+            "addr models workers executors request-timeout-ms idle-timeout-ms cache \
+            threads stream-shards stream-queue stream-checkpoints fleet-budget numeric-mode"
+        }
+        "client" => {
+            "verb addr timeout-ms format model series train epochs seed merlin_step \
+            stream"
+        }
+        "stream" => {
+            "test model train epochs seed merlin-step threads numeric-mode chunk enter \
+            exit checkpoint-at addr stream timeout-ms"
+        }
+        "bench" => "smoke out-dir",
+        "fleet" => "smoke out-dir streams budget points numeric-mode",
+        "evalbed" => {
+            "smoke out-dir datasets methods metrics epochs seed archive-seed threads \
+            resume no-cache models stride-sweep check tolerance numeric-mode"
+        }
+        "trace" => "smoke out-dir seed threads",
+        "lint" => "root json sarif deny baseline include-vendor fixture",
+        _ => return None,
+    })
+}
+
 /// Run one command; returns the lines to print.
 pub fn run(cli: &Cli) -> Result<Vec<String>, String> {
+    if let Some(flags) = flags_of(&cli.command) {
+        let takes = |key: &str| flags.split_whitespace().any(|f| f == key);
+        if let Some((key, _)) = cli.pairs.iter().find(|(k, _)| !takes(k)) {
+            let names: Vec<String> = flags.split_whitespace().map(|f| format!("--{f}")).collect();
+            return Err(format!(
+                "{} does not take --{key}; it takes {}",
+                cli.command,
+                names.join(", ")
+            ));
+        }
+    }
     match cli.command.as_str() {
         "fit" => cmd_fit(cli),
         "detect" => cmd_detect(cli),
@@ -350,8 +401,6 @@ fn cmd_serve(cli: &Cli) -> Result<Vec<String>, String> {
         models_dir: PathBuf::from(cli.get("models").unwrap_or("models")),
         workers: cli.get_num("workers", 4usize)?,
         executors: cli.get_num("executors", 2usize)?,
-        max_batch: cli.get_num("max-batch", 16usize)?,
-        max_delay_ms: cli.get_num("max-delay-ms", 20u64)?,
         request_timeout_ms: cli.get_num("request-timeout-ms", 30_000u64)?,
         idle_timeout_ms: cli.get_num("idle-timeout-ms", 10_000u64)?,
         cache_capacity: cli.get_num("cache", 8usize)?,
@@ -607,17 +656,6 @@ fn cmd_stream_remote(cli: &Cli) -> Result<Vec<String>, String> {
 /// Run the determinism gate (`crates/bench::perf`) and report where
 /// `BENCH.json` landed.
 fn cmd_bench(cli: &Cli) -> Result<Vec<String>, String> {
-    // The gate always runs every stage in both numeric modes; a leftover
-    // `--stages` or `--numeric-mode` must not pass as if it had narrowed it.
-    if let Some((key, _)) = cli
-        .pairs
-        .iter()
-        .find(|(k, _)| k != "smoke" && k != "out-dir")
-    {
-        return Err(format!(
-            "bench takes only --smoke and --out-dir, got --{key}"
-        ));
-    }
     bench::perf::run_bench(&bench::perf::BenchOptions {
         smoke: cli.get("smoke").is_some(),
         out_dir: PathBuf::from(cli.get("out-dir").unwrap_or(".")),
@@ -788,6 +826,54 @@ mod tests {
             let cli = Cli::parse(&argv(&["bench", "--smoke", flag, "fast"])).unwrap();
             let err = run(&cli).expect_err("bench must refuse the flag");
             assert!(err.contains(flag), "{err}");
+        }
+    }
+
+    #[test]
+    fn fit_refuses_a_misspelled_flag_and_names_the_flags_it_takes() {
+        let cli = Cli::parse(&argv(&["fit", "--epoch", "3"])).unwrap();
+        let err = run(&cli).expect_err("fit must refuse --epoch");
+        assert!(err.starts_with("fit does not take --epoch;"), "{err}");
+        assert!(err.contains("--epochs"), "{err}");
+    }
+
+    #[test]
+    fn serve_refuses_the_retired_batching_flags() {
+        // Refused before any socket is bound: the default address is never
+        // tried, so this cannot start a server.
+        for flag in ["--max-delay-ms", "--max-batch"] {
+            let cli = Cli::parse(&argv(&["serve", flag, "5"])).unwrap();
+            let err = run(&cli).expect_err("serve must refuse the flag");
+            assert!(err.contains(&format!("take {flag};")), "{err}");
+            assert!(err.contains("--executors"), "{err}");
+        }
+    }
+
+    #[test]
+    fn usage_names_only_flags_each_command_takes() {
+        let text = usage();
+        let synopsis = text
+            .split("USAGE:\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\n").next())
+            .expect("usage has a synopsis");
+        let mut command = "";
+        for line in synopsis.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("triad ") {
+                command = rest.split_whitespace().next().unwrap_or("");
+            }
+            let flags = flags_of(command)
+                .unwrap_or_else(|| panic!("usage names unknown command {command:?}"));
+            for piece in line.split("--").skip(1) {
+                let flag: String = piece
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
+                    .collect();
+                assert!(
+                    flags.split_whitespace().any(|f| f == flag),
+                    "{command} --{flag}"
+                );
+            }
         }
     }
 

@@ -267,7 +267,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 }
 
 /// Open a span with an explicit parent id — for work handed to another
-/// thread (parallel workers, batch executors), where the thread-local stack
+/// thread (parallel workers, evalbed tasks), where the thread-local stack
 /// cannot see the logical parent. The span still joins this thread's stack
 /// so its own children nest under it.
 pub fn span_with_parent(name: &'static str, parent: u64) -> SpanGuard {

@@ -1,17 +1,17 @@
 //! triad-serve: the concurrent model-serving subsystem.
 //!
-//! Four layers, bottom to top:
+//! Three layers, bottom to top:
 //!
 //! - [`registry`] — named model slots over `triad-core::persist`: atomic
 //!   save/reload of fitted models in a directory and an LRU cache of
 //!   deserialized instances, each behind a per-slot mutex.
-//! - [`batch`] — groups concurrent `detect` requests per model under a
-//!   `max_batch`/`max_delay` policy so the pipeline is locked once per batch
-//!   and duplicate payloads run once.
 //! - [`server`] — a `TcpListener` accept loop feeding a thread pool over a
 //!   bounded channel; workers speak the [`proto`] line-delimited JSON
 //!   protocol (`fit`, `detect`, `list`, `evict`, `stats`, `health`,
-//!   `shutdown`) and graceful shutdown drains every in-flight request.
+//!   `shutdown`) and answer each request on the worker that read it. A
+//!   `detect` first takes one of `executors` permits, which caps how many
+//!   pipelines run at once; graceful shutdown drains every in-flight
+//!   request.
 //! - [`metrics`] — lock-free counters/histograms behind the `stats` verb;
 //!   the histogram type is shared with `triad-stream` and reports
 //!   bucket-derived p50/p95/p99 quantiles.
@@ -32,14 +32,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod client;
 pub mod metrics;
 pub mod proto;
 pub mod registry;
 pub mod server;
 
-pub use batch::{BatchPolicy, Batcher};
 pub use client::Client;
 pub use metrics::{Histogram, HistogramSnapshot, Metrics};
 pub use obs::json;

@@ -70,14 +70,12 @@ macro_rules! metrics_struct {
         /// All serving counters; one instance shared by every layer.
         pub struct Metrics {
             $($(#[$doc])* pub $name: AtomicU64,)*
-            /// Detect end-to-end latency (queue + batch + pipeline), µs.
+            /// Detect end-to-end latency (permit wait + pipeline), µs.
             pub detect_latency_us: Histogram,
-            /// Time a detect request waited before its batch ran, µs.
+            /// Time a detect request waited for an executor permit, µs.
             pub queue_wait_us: Histogram,
             /// Fit latency, ms.
             pub fit_latency_ms: Histogram,
-            /// Executed batch sizes (requests per batch).
-            pub batch_size: Histogram,
             started: Instant,
         }
 
@@ -88,7 +86,6 @@ macro_rules! metrics_struct {
                     detect_latency_us: Histogram::new(&[100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000]),
                     queue_wait_us: Histogram::new(&[100, 1_000, 10_000, 100_000, 1_000_000]),
                     fit_latency_ms: Histogram::new(&[10, 100, 1_000, 10_000, 60_000]),
-                    batch_size: Histogram::new(&[1, 2, 4, 8, 16, 32]),
                     started: obs::now_instant(),
                 }
             }
@@ -111,7 +108,6 @@ macro_rules! metrics_struct {
                     ("detect_latency_us", &self.detect_latency_us),
                     ("queue_wait_us", &self.queue_wait_us),
                     ("fit_latency_ms", &self.fit_latency_ms),
-                    ("batch_size", &self.batch_size),
                 ] {
                     fields.push((name.to_string(), histogram_json(h)));
                 }
@@ -138,7 +134,6 @@ macro_rules! metrics_struct {
                 render_histogram(&self.detect_latency_us, "triad_detect_latency_us", "_us", &mut out);
                 render_histogram(&self.queue_wait_us, "triad_queue_wait_us", "_us", &mut out);
                 render_histogram(&self.fit_latency_ms, "triad_fit_latency_ms", "_ms", &mut out);
-                render_histogram(&self.batch_size, "triad_batch_size", "", &mut out);
                 out
             }
         }
@@ -176,15 +171,7 @@ metrics_struct! {
     cache_misses,
     /// Deserialized models dropped by LRU pressure or `evict`.
     cache_evictions,
-    /// Batches executed by the scheduling layer.
-    batches_total,
-    /// Detect requests that went through batches.
-    batched_requests,
-    /// Batches that grouped ≥ 2 concurrent requests.
-    batches_multi,
-    /// Within-batch duplicate payloads answered by a shared pipeline run.
-    batch_dedup_hits,
-    /// Detect requests that timed out before execution.
+    /// Detect requests that timed out waiting for an executor permit.
     timeouts_total,
 }
 
@@ -237,19 +224,19 @@ mod tests {
         inc(&m.requests_total);
         inc(&m.requests_total);
         inc(&m.cache_hits);
-        m.batch_size.observe(3);
+        m.queue_wait_us.observe(300);
         let j = m.to_json();
         assert_eq!(j.get("requests_total").unwrap().as_u64(), Some(2));
         assert_eq!(j.get("cache_hits").unwrap().as_u64(), Some(1));
         assert!(j.get("uptime_ms").unwrap().as_f64().unwrap() >= 0.0);
-        assert!(j.get("batch_size").unwrap().get("p95").is_some());
+        assert!(j.get("queue_wait_us").unwrap().get("p95").is_some());
         let text = m.render_text();
         assert!(text.contains("triad_requests_total 2"), "{text}");
         assert!(
-            text.contains("triad_batch_size_bucket{le=\"4\"} 1"),
+            text.contains("triad_queue_wait_us_bucket{le=\"1000\"} 1"),
             "{text}"
         );
-        assert!(text.contains("triad_batch_size_p99"), "{text}");
+        assert!(text.contains("triad_queue_wait_us_p99_us"), "{text}");
         assert!(text.contains("triad_detect_latency_us_p50_us"), "{text}");
     }
 

@@ -12,9 +12,9 @@
 //!
 //! `FittedTriad` is `Send + Sync`, so a cached model lives directly in its
 //! slot's `Mutex`. The mutex is the cache protocol, not a thread-safety
-//! patch: it serializes the load-on-miss so a file is read once, and the
-//! batching layer holds it for one pipeline run per model at a time while
-//! other models' slots proceed in parallel.
+//! patch: it serializes the load-on-miss so a file is read once, and a
+//! `detect` holds it for its one pipeline run, so detects on one model run
+//! one at a time while other models' slots proceed in parallel.
 
 use crate::metrics::{inc, Metrics};
 use std::collections::BTreeMap;
@@ -201,7 +201,7 @@ impl ModelRegistry {
 
     /// Lock a slot's model, deserializing from disk on a cache miss, and
     /// update LRU bookkeeping. The returned guard keeps exclusive use of the
-    /// model for the caller's batch.
+    /// model for the caller's detection.
     pub fn lock_loaded<'s>(
         &self,
         slot: &'s ModelSlot,
@@ -242,7 +242,7 @@ impl ModelRegistry {
     }
 
     /// Keep at most `capacity` models deserialized, dropping the
-    /// least-recently-used ones. Slots whose lock is currently held (a batch
+    /// least-recently-used ones. Slots whose lock is currently held (a detect
     /// is running on them) are skipped — they are in use by definition.
     fn enforce_capacity(&self) {
         loop {

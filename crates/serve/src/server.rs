@@ -4,16 +4,15 @@
 //! Connections are fanned out over a fixed pool of worker threads through a
 //! bounded `crossbeam` channel (the accept loop blocks when every worker is
 //! busy and the backlog is full — natural backpressure). Workers speak the
-//! line-delimited JSON protocol from [`crate::proto`]; `detect` requests are
-//! handed to the [`crate::batch::Batcher`] and executed by dedicated
-//! executor threads, everything else is answered in place.
+//! line-delimited JSON protocol from [`crate::proto`] and answer every verb
+//! in place: a `detect` runs on the worker that read it, once it holds one
+//! of `executors` permits, so CPU-heavy detects stay bounded separately
+//! from the connection pool.
 //!
 //! Shutdown (the `shutdown` verb or [`ServerHandle::shutdown`]) drains: the
 //! accept loop stops taking connections, workers finish the requests already
-//! on their sockets, the batcher flushes its queues, and only then do the
-//! threads exit.
+//! on their sockets, and only then do the threads exit.
 
-use crate::batch::{BatchPolicy, Batcher};
 use crate::json::{self, Value};
 use crate::metrics::{histogram_json, inc, render_histogram, Metrics};
 use crate::proto::{
@@ -25,7 +24,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use triad_core::{persist, NumericMode, TriAd, TriadConfig};
@@ -50,13 +49,10 @@ pub struct ServeConfig {
     /// reference kernels; `fast` switches to the FFT-backed MASS discord
     /// kernels — tolerance-equivalent, bit-identical within the mode).
     pub numeric_mode: NumericMode,
-    /// Batch executor threads.
+    /// Detects allowed to run at once (at least 1).
     pub executors: usize,
-    /// Detect batch closes at this many requests…
-    pub max_batch: usize,
-    /// …or this long after its oldest request, whichever first.
-    pub max_delay_ms: u64,
-    /// Queued detect requests older than this are answered with an error.
+    /// A detect that waits this long for a free executor is answered with
+    /// a timeout error.
     pub request_timeout_ms: u64,
     /// Idle connections are closed after this long without a request.
     pub idle_timeout_ms: u64,
@@ -90,8 +86,6 @@ impl Default for ServeConfig {
             threads: 0,
             numeric_mode: NumericMode::default(),
             executors: 2,
-            max_batch: 16,
-            max_delay_ms: 20,
             request_timeout_ms: 30_000,
             idle_timeout_ms: 10_000,
             cache_capacity: 8,
@@ -103,11 +97,57 @@ impl Default for ServeConfig {
     }
 }
 
-/// State shared by the accept loop, workers, and executors.
+/// A counting semaphore: at most `n` holders of a [`Permit`] at once.
+struct Permits {
+    free: Mutex<usize>,
+    released: Condvar,
+}
+
+/// One held permit; dropping it wakes a waiter.
+struct Permit<'a>(&'a Permits);
+
+impl Permits {
+    fn new(n: usize) -> Self {
+        Permits {
+            free: Mutex::new(n),
+            released: Condvar::new(),
+        }
+    }
+
+    /// Lock the free count, recovering from poisoning: it is a plain
+    /// integer that every holder restores in `Drop`, so it stays consistent
+    /// even when a detect panics.
+    fn lock_free(&self) -> std::sync::MutexGuard<'_, usize> {
+        self.free.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Wait up to `timeout` for a permit.
+    fn acquire(&self, timeout: Duration) -> Result<Permit<'_>, String> {
+        let (mut free, _) = self
+            .released
+            .wait_timeout_while(self.lock_free(), timeout, |free| *free == 0)
+            .unwrap_or_else(|e| e.into_inner());
+        if *free == 0 {
+            return Err(format!("request timed out after {timeout:?} in queue"));
+        }
+        *free -= 1;
+        Ok(Permit(self))
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *self.0.lock_free() += 1;
+        self.0.released.notify_one();
+    }
+}
+
+/// State shared by the accept loop and the workers.
 struct Shared {
     registry: Arc<RwLock<ModelRegistry>>,
     metrics: Arc<Metrics>,
-    batcher: Batcher,
+    /// Bounds the detects running at once (`ServeConfig::executors`).
+    permits: Permits,
     /// Online streaming layer; stream engines live on its shard threads,
     /// loading models from the same `models_dir` as the registry.
     streams: FleetManager,
@@ -137,7 +177,6 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -157,18 +196,13 @@ impl ServerHandle {
 
     /// Block until the server has fully drained and every thread exited.
     pub fn wait(mut self) {
-        // Order matters: the accept thread owns the connection sender, so
-        // joining it closes the channel; workers then drain the remaining
-        // queued connections and exit; only after no producer is left may
-        // the batcher drain and release its executors.
+        // The accept thread owns the connection sender, so joining it
+        // closes the channel; workers then drain the remaining queued
+        // connections and exit.
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
         for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        self.shared.batcher.drain();
-        for h in self.executors.drain(..) {
             let _ = h.join();
         }
     }
@@ -189,11 +223,6 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
         ModelRegistry::open(&cfg.models_dir, cfg.cache_capacity, Arc::clone(&metrics))?;
     registry.set_threads(cfg.threads);
     registry.set_numeric_mode(cfg.numeric_mode);
-    let policy = BatchPolicy {
-        max_batch: cfg.max_batch.max(1),
-        max_delay: Duration::from_millis(cfg.max_delay_ms),
-        request_timeout: Duration::from_millis(cfg.request_timeout_ms.max(1)),
-    };
     // Stream shards load models straight from the models directory: a
     // `ModelLoader` returns an owned model and the fleet keeps its own
     // per-shard LRU, so the registry's cached instances are not shared.
@@ -260,11 +289,11 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     let shared = Arc::new(Shared {
         registry,
         metrics: Arc::clone(&metrics),
-        batcher: Batcher::new(policy),
+        permits: Permits::new(cfg.executors.max(1)),
         streams,
         shutdown: AtomicBool::new(false),
         addr,
-        request_timeout: policy.request_timeout,
+        request_timeout: Duration::from_millis(cfg.request_timeout_ms.max(1)),
         idle_timeout: Duration::from_millis(cfg.idle_timeout_ms.max(1)),
     });
 
@@ -316,25 +345,10 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     }
     drop(conn_rx);
 
-    let mut executors = Vec::with_capacity(cfg.executors.max(1));
-    for i in 0..cfg.executors.max(1) {
-        let shared = Arc::clone(&shared);
-        executors.push(
-            std::thread::Builder::new()
-                .name(format!("triad-exec-{i}"))
-                .spawn(move || {
-                    shared
-                        .batcher
-                        .run_executor(&shared.registry, &shared.metrics)
-                })?,
-        );
-    }
-
     Ok(ServerHandle {
         shared,
         accept: Some(accept),
         workers,
-        executors,
     })
 }
 
@@ -606,26 +620,33 @@ fn handle_detect(shared: &Arc<Shared>, req: &Value, id: Option<&Value>) -> Value
     if series.is_empty() {
         return err_response("detect", id, "detect \"series\" must be non-empty");
     }
-    let known = match shared.registry.read() {
-        Ok(r) => r.slot(model).is_some(),
-        Err(_) => return err_response("detect", id, "registry poisoned"),
-    };
-    if !known {
-        return err_response("detect", id, &format!("no such model {model:?}"));
-    }
 
-    let rx = shared.batcher.submit(model, series);
-    // Queue budget is `request_timeout` (enforced by the batcher); on top of
-    // that allow generous pipeline time before giving up on the reply.
-    let wait = shared.request_timeout + Duration::from_secs(120);
-    let received = {
+    let arrived = obs::now_instant();
+    let permit = {
+        // Trace readers look this span up by its old name; it times the
+        // wait for a permit.
         let _wait_span = obs::span("batch-wait");
-        rx.recv_timeout(wait)
+        shared.permits.acquire(shared.request_timeout)
     };
-    match received {
-        Ok(Ok(body)) => detect_response(id, body),
-        Ok(Err(e)) => err_response("detect", id, &e),
-        Err(_) => err_response("detect", id, "detect timed out"),
+    shared
+        .metrics
+        .queue_wait_us
+        .observe(arrived.elapsed().as_micros() as u64);
+    let _permit = match permit {
+        Ok(p) => p,
+        Err(e) => {
+            inc(&shared.metrics.timeouts_total);
+            return err_response("detect", id, &e);
+        }
+    };
+    let result = detect_once(&shared.registry, model, &series);
+    shared
+        .metrics
+        .detect_latency_us
+        .observe(arrived.elapsed().as_micros() as u64);
+    match result {
+        Ok(body) => detect_response(id, body),
+        Err(e) => err_response("detect", id, &e),
     }
 }
 
@@ -826,25 +847,35 @@ fn shard_counters(m: &ShardMetrics) -> [(&'static str, &std::sync::atomic::Atomi
     ]
 }
 
-/// Run a detection directly (no server) — shared by `triad client --local`
-/// style tooling and unit tests.
+/// Run one detection against a registry model: resolve the slot, lock the
+/// model (loading it on a cache miss) and run the pipeline. The registry
+/// read lock is released before the pipeline runs, so a `fit` or a refit
+/// does not wait for the pipeline of a detect it does not contend with.
 pub fn detect_once(
     registry: &RwLock<ModelRegistry>,
     model: &str,
     series: &[f64],
 ) -> Result<Value, String> {
-    let slot = registry
-        .read()
-        .map_err(|_| "registry poisoned".to_string())?
-        .slot(model)
-        .ok_or_else(|| format!("no such model {model:?}"))?;
+    let mut registry_span = obs::span("registry");
+    registry_span.add_field("model", model);
     let reg = registry
         .read()
         .map_err(|_| "registry poisoned".to_string())?;
+    let slot = reg
+        .slot(model)
+        .ok_or_else(|| format!("no such model {model:?}"))?;
+    // The guard borrows `slot`, not the registry.
     let guard = reg.lock_loaded(&slot)?;
+    drop(reg);
     let fitted = guard
         .as_ref()
         .ok_or_else(|| "model slot empty after load".to_string())?;
+    drop(registry_span);
+    let mut detect_span = obs::span("detect");
+    detect_span.add_field("model", model);
+    detect_span.add_field("n", series.len());
+    // try_detect: a hostile payload (NaN series) must come back as an
+    // error envelope, not kill the worker.
     let det = fitted.try_detect(series).map_err(|e| e.to_string())?;
     Ok(detection_fields(model, &det))
 }
@@ -857,7 +888,33 @@ mod tests {
     #[test]
     fn default_config_is_sane() {
         let cfg = ServeConfig::default();
-        assert!(cfg.workers >= 1 && cfg.executors >= 1 && cfg.max_batch >= 1);
+        assert!(cfg.workers >= 1 && cfg.executors >= 1);
+    }
+
+    #[test]
+    fn permit_wait_times_out_and_a_release_wakes_a_waiter() {
+        let permits = Permits::new(1);
+        let held = permits.acquire(Duration::from_millis(10)).expect("free");
+        let err = permits
+            .acquire(Duration::from_millis(20))
+            .err()
+            .expect("no second permit while one is held");
+        assert!(err.contains("timed out"), "{err}");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let t0 = obs::now_instant();
+                permits.acquire(Duration::from_secs(120)).map(drop)?;
+                Ok::<_, String>(t0.elapsed())
+            });
+            // Only makes it likely that the waiter is already blocked; if it
+            // is not, it takes the released permit directly and the checks
+            // below still hold.
+            std::thread::sleep(Duration::from_millis(20));
+            drop(held);
+            // Woken by the release, not by the end of its timeout.
+            let waited = waiter.join().unwrap().expect("permit after release");
+            assert!(waited < Duration::from_secs(60), "{waited:?}");
+        });
     }
 
     #[test]
@@ -880,6 +937,7 @@ mod tests {
             ("{\"no\":\"verb\"}", "missing \\\"verb\\\""),
             ("{\"verb\":\"teleport\"}", "unknown verb"),
             ("{\"verb\":\"detect\",\"model\":\"m\"}", "series"),
+            // An unknown model is refused by the detect path itself.
             (
                 "{\"verb\":\"detect\",\"model\":\"ghost\",\"series\":[1,2,3]}",
                 "no such model",
