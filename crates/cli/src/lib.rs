@@ -116,8 +116,7 @@ USAGE:
                [--stride-sweep] [--check FILE] [--tolerance X]
                [--numeric-mode exact|fast]
   triad trace  [--smoke] [--out-dir DIR] [--seed N] [--threads N]
-  triad lint   [--root DIR] [--json | --sarif] [--deny] [--baseline FILE]
-               [--include-vendor] [--fixture]
+  triad lint   [--root DIR] [--json] [--deny] [--fixture]
 
 Series files hold one sample per line (UCR archive format accepted).
 Every command refuses a flag it does not take.
@@ -179,10 +178,10 @@ root spans cover ≥ 95% of the trace extent.
 `lint` runs the workspace static analyzer (triad-lint): numeric-safety,
 panic-hygiene, concurrency, and syntax-aware determinism rules
 (nondet-iter, float-reduce-order, ambient-entropy, shadowed-threads) plus
-stale-suppression auditing. --deny exits nonzero on any finding, --baseline
-FILE drops fingerprinted pre-existing findings so CI fails only on new
-ones, --json / --sarif select machine-readable output, and --fixture runs
-the seeded-violation self-test instead of a workspace scan.
+stale-suppression auditing. --deny exits nonzero on any finding, --json
+prints the findings as one JSON array, and --fixture runs the
+seeded-violation self-test instead of a workspace scan. vendor/ and
+generated trees are never scanned.
 "
     .to_string()
 }
@@ -245,7 +244,7 @@ fn flags_of(command: &str) -> Option<&'static str> {
             resume no-cache models stride-sweep check tolerance numeric-mode"
         }
         "trace" => "smoke out-dir seed threads",
-        "lint" => "root json sarif deny baseline include-vendor fixture",
+        "lint" => "root json deny fixture",
         _ => return None,
     })
 }
@@ -759,10 +758,6 @@ fn lint_root(cli: &Cli) -> PathBuf {
 }
 
 fn cmd_lint(cli: &Cli) -> Result<Vec<String>, String> {
-    if cli.get("json").is_some() && cli.get("sarif").is_some() {
-        return Err("--json and --sarif are mutually exclusive".to_string());
-    }
-
     if cli.get("fixture").is_some() {
         let dir = lint_root(cli).join("crates/lint/fixtures");
         let outcome = triad_lint::fixture_self_test(&dir)
@@ -774,24 +769,12 @@ fn cmd_lint(cli: &Cli) -> Result<Vec<String>, String> {
     }
 
     let root = lint_root(cli);
-    let opts = triad_lint::Options {
-        include_vendor: cli.get("include-vendor").is_some(),
-    };
-    let mut reports = triad_lint::run(&root, &opts)
-        .map_err(|e| format!("failed to lint {}: {e}", root.display()))?;
-
-    if let Some(path) = cli.get("baseline") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("failed to read {path}: {e}"))?;
-        let set = triad_lint::baseline::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        triad_lint::baseline::apply(&mut reports, &set);
-    }
+    let reports =
+        triad_lint::run(&root).map_err(|e| format!("failed to lint {}: {e}", root.display()))?;
 
     let n: usize = reports.iter().map(|r| r.diagnostics.len()).sum();
     let rendered = if cli.get("json").is_some() {
         triad_lint::engine::render_json(&reports)
-    } else if cli.get("sarif").is_some() {
-        triad_lint::sarif::render(&reports)
     } else {
         triad_lint::engine::render_human(&reports)
     };
@@ -900,11 +883,24 @@ mod tests {
         let cli = Cli::parse(&argv(&["lint", "--fixture"])).unwrap();
         let out = run(&cli).unwrap();
         assert!(out[0].contains("PASS"), "{}", out[0]);
+        for retired in [
+            &["--sarif"][..],
+            &["--baseline", "lint_baseline.json"],
+            &["--write-baseline", "x"],
+            &["--include-vendor"],
+        ] {
+            let mut args = vec!["lint"];
+            args.extend_from_slice(retired);
+            let err = run(&Cli::parse(&argv(&args)).unwrap()).unwrap_err();
+            assert!(
+                err.starts_with(&format!("lint does not take {}; ", retired[0]))
+                    && err.ends_with("it takes --root, --json, --deny, --fixture"),
+                "{err}"
+            );
+        }
         let cli = Cli::parse(&argv(&["lint", "--deny"])).unwrap();
         let out = run(&cli).expect("workspace lints clean under --deny");
         assert!(out[0].contains("0 diagnostics"), "{}", out[0]);
-        let cli = Cli::parse(&argv(&["lint", "--json", "--sarif"])).unwrap();
-        assert!(run(&cli).is_err());
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! (`triad_cli`) where it is unit-tested; this wrapper only handles process
 //! boundaries.
 
+use std::io::{ErrorKind, Write};
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match triad_cli::Cli::parse(&args) {
@@ -13,8 +15,13 @@ fn main() {
     };
     match triad_cli::run(&cli) {
         Ok(lines) => {
-            for l in lines {
-                println!("{l}");
+            // A reader that closed the pipe early (`triad lint | head -3`)
+            // wants no more output, which is not an error.
+            if let Err(e) = print_lines(&lines) {
+                if e.kind() != ErrorKind::BrokenPipe {
+                    eprintln!("error: {e}");
+                    std::process::exit(1);
+                }
             }
         }
         Err(e) => {
@@ -22,4 +29,12 @@ fn main() {
             std::process::exit(1);
         }
     }
+}
+
+fn print_lines(lines: &[String]) -> std::io::Result<()> {
+    let mut out = std::io::stdout().lock();
+    for l in lines {
+        writeln!(out, "{l}")?;
+    }
+    out.flush()
 }

@@ -96,6 +96,23 @@ fn help_and_gen_exit_0() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn closed_stdout_ends_quietly() {
+    // A stdout whose reader is already gone fails every write with EPIPE,
+    // as `triad help | head -1` does once head has exited.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = triad()
+        .arg("help")
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
 struct KillOnDrop(Child);
 
 impl Drop for KillOnDrop {

@@ -58,8 +58,6 @@ pub struct Suppression {
 /// Everything a rule needs to know about one file.
 pub struct FileContext<'a> {
     pub src: &'a [u8],
-    /// Workspace-relative path, `/`-separated.
-    pub rel_path: String,
     pub class: FileClass,
     /// Crate name (`core`, `serve`, …) or `"workspace"` for root `src/`.
     pub crate_name: String,
@@ -126,7 +124,6 @@ impl<'a> FileContext<'a> {
         }
         FileContext {
             src,
-            rel_path: rel_path.to_string(),
             class,
             crate_name,
             tokens,

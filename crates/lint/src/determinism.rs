@@ -158,7 +158,6 @@ fn nondet_iter(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
             "HashSet"
         };
         out.push(diag(
-            cx,
             "nondet-iter",
             t.line,
             format!(
@@ -376,7 +375,6 @@ fn nondet_for_loops(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
         };
         if matches!(tag, Some(TypeTag::HashMap | TypeTag::HashSet)) {
             out.push(diag(
-                cx,
                 "nondet-iter",
                 t.line,
                 "for-loop visits a hash collection in per-process hash order; \
@@ -421,7 +419,6 @@ fn float_reduce_order(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
             if (s == "sum" || s == "fold") && j >= 1 && cx.stext(j - 1) == "." {
                 if float_accumulation(cx, j, i + 2, close) {
                     out.push(diag(
-                        cx,
                         "float-reduce-order",
                         cx.stok(j).line,
                         format!(
@@ -437,7 +434,6 @@ fn float_reduce_order(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
             if s == "+" && adjacent(cx, j) && j + 1 < close && cx.stext(j + 1) == "=" {
                 if float_accumulation(cx, j, i + 2, close) {
                     out.push(diag(
-                        cx,
                         "float-reduce-order",
                         cx.stok(j).line,
                         format!(
@@ -544,7 +540,6 @@ fn ambient_entropy(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
         }
         if s == "now" && path_prefix(cx, i, "SystemTime") {
             out.push(diag(
-                cx,
                 "ambient-entropy",
                 t.line,
                 "SystemTime::now() injects wall-clock entropy; derive timestamps from \
@@ -559,7 +554,6 @@ fn ambient_entropy(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
         // it brackets, so a raw Instant there is ambient entropy.
         if s == "now" && path_prefix(cx, i, "Instant") && cx.crate_name == "bench" {
             out.push(diag(
-                cx,
                 "ambient-entropy",
                 t.line,
                 "bench harness timing bypasses the shared trace clock; call \
@@ -571,7 +565,6 @@ fn ambient_entropy(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
         }
         if s == "RandomState" && t.kind == TokKind::Ident {
             out.push(diag(
-                cx,
                 "ambient-entropy",
                 t.line,
                 "RandomState is seeded per process — anything iterating the map inherits \
@@ -586,7 +579,6 @@ fn ambient_entropy(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
                 continue;
             }
             out.push(diag(
-                cx,
                 "ambient-entropy",
                 t.line,
                 "environment read outside the sanctioned config layer (parallel/obs/neuro \
@@ -620,7 +612,6 @@ fn shadowed_threads(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
         }
         if s == "available_parallelism" && t.kind == TokKind::Ident {
             out.push(diag(
-                cx,
                 "shadowed-threads",
                 t.line,
                 "available_parallelism() shadows the pool's thread-count plumbing; use \
@@ -631,7 +622,6 @@ fn shadowed_threads(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
         }
         if s == "resolve" && path_prefix(cx, i, "Parallelism") {
             out.push(diag(
-                cx,
                 "shadowed-threads",
                 t.line,
                 "Parallelism::resolve outside crates/parallel re-derives the thread count; \
@@ -645,7 +635,6 @@ fn shadowed_threads(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
             && env_read_names(cx, i, "TRIAD_THREADS")
         {
             out.push(diag(
-                cx,
                 "shadowed-threads",
                 t.line,
                 "reading TRIAD_THREADS directly bypasses Parallelism::with_ambient; only \

@@ -3,6 +3,7 @@
 
 use crate::context::FileContext;
 use crate::rules::{self, Diagnostic};
+use obs::json::Value;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -24,12 +25,6 @@ const SKIP_DIRS: &[&str] = &[
 /// here: passing a fixture directory explicitly is how `--fixture` works.)
 const GENERATED_COMPONENTS: &[&str] = &["target", ".git", "vendor", "bench_out", "evalbed_out"];
 
-#[derive(Debug, Clone, Default)]
-pub struct Options {
-    /// Also lint `vendor/` (off by default, like any linter and its deps).
-    pub include_vendor: bool,
-}
-
 /// Everything the engine learned about one file, for the fixture checker.
 pub struct FileReport {
     pub rel_path: String,
@@ -44,21 +39,19 @@ pub struct FileReport {
 ///
 /// A root inside a generated/vendored tree (`vendor/`, `target/`,
 /// `bench_out/`, `evalbed_out/`) produces no reports: those files are not
-/// ours to lint even when named explicitly (`--include-vendor` restores
-/// `vendor/`, matching the walker's behaviour).
-pub fn run(root: &Path, opts: &Options) -> std::io::Result<Vec<FileReport>> {
+/// ours to lint even when named explicitly.
+pub fn run(root: &Path) -> std::io::Result<Vec<FileReport>> {
     // Canonicalize so `./vendor/../vendor/x` style spellings cannot slip a
     // generated tree past the component check.
     let canon = root.canonicalize().unwrap_or_else(|_| root.to_path_buf());
-    let in_generated = canon.components().any(|c| {
-        let name = c.as_os_str().to_string_lossy();
-        GENERATED_COMPONENTS.contains(&name.as_ref()) && !(opts.include_vendor && name == "vendor")
-    });
+    let in_generated = canon
+        .components()
+        .any(|c| GENERATED_COMPONENTS.contains(&c.as_os_str().to_string_lossy().as_ref()));
     if in_generated {
         return Ok(Vec::new());
     }
     let mut files = Vec::new();
-    walk(root, opts, &mut files)?;
+    walk(root, &mut files)?;
     files.sort();
     let mut reports = Vec::new();
     for path in files {
@@ -91,7 +84,6 @@ pub fn lint_one(rel_path: &str, src: &[u8]) -> FileReport {
     // cannot vouch for itself, so `stale-suppression` is unsuppressible.
     diagnostics.extend(stale);
     diagnostics.sort_by_key(|d| (d.line, d.rule));
-    crate::baseline::assign_fingerprints(&mut diagnostics, src);
     FileReport {
         rel_path: rel_path.to_string(),
         diagnostics,
@@ -126,13 +118,11 @@ fn stale_suppressions(cx: &FileContext<'_>, raw: &[Diagnostic]) -> Vec<Diagnosti
             if !live {
                 out.push(Diagnostic {
                     rule: "stale-suppression",
-                    path: cx.rel_path.clone(),
                     line: s.line,
                     message: format!(
                         "lint-allow({r}) no longer suppresses anything here; remove it (or fix \
                          the annotation if the finding moved)"
                     ),
-                    fingerprint: 0,
                 });
             }
         }
@@ -140,17 +130,15 @@ fn stale_suppressions(cx: &FileContext<'_>, raw: &[Diagnostic]) -> Vec<Diagnosti
     out
 }
 
-fn walk(dir: &Path, opts: &Options, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            let skip =
-                SKIP_DIRS.contains(&name.as_ref()) && !(opts.include_vendor && name == "vendor");
-            if !skip {
-                walk(&path, opts, out)?;
+            if !SKIP_DIRS.contains(&name.as_ref()) {
+                walk(&path, out)?;
             }
         } else if name.ends_with(".rs") {
             out.push(path);
@@ -208,42 +196,19 @@ pub fn render_human(reports: &[FileReport]) -> String {
     out
 }
 
+/// One JSON array of `{rule, path, line, message}` objects, in report order.
 pub fn render_json(reports: &[FileReport]) -> String {
-    let mut out = String::from("[");
-    let mut first = true;
-    for r in reports {
-        for d in &r.diagnostics {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n  {{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\",\"hash\":\"{:016x}\"}}",
-                json_escape(d.rule),
-                json_escape(&r.rel_path),
-                d.line,
-                json_escape(&d.message),
-                d.fingerprint
-            ));
-        }
-    }
-    out.push_str(if first { "]\n" } else { "\n]\n" });
-    out
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    let findings = reports.iter().flat_map(|r| {
+        r.diagnostics.iter().map(|d| {
+            Value::obj(vec![
+                ("rule", d.rule.into()),
+                ("path", r.rel_path.as_str().into()),
+                ("line", u64::from(d.line).into()),
+                ("message", d.message.as_str().into()),
+            ])
+        })
+    });
+    Value::Arr(findings.collect()).to_string()
 }
 
 // ----------------------------------------------------------- fixture mode
@@ -263,7 +228,7 @@ pub struct FixtureOutcome {
 /// file produced exactly its expected rule set, and that the union covers
 /// the whole catalog.
 pub fn fixture_self_test(fixture_dir: &Path) -> std::io::Result<FixtureOutcome> {
-    let reports = run(fixture_dir, &Options::default())?;
+    let reports = run(fixture_dir)?;
     let mut report = String::new();
     let mut passed = true;
     let mut fired: Vec<&'static str> = Vec::new();
@@ -354,10 +319,5 @@ mod tests {
         let src = b"//@ path: crates/core/src/fx.rs\npub fn f(o: Option<u32>) -> u32 {\n    // lint-allow(no-unwrap): demonstration of suppression filtering\n    o.unwrap()\n}\n";
         let r = lint_one("whatever.rs", src);
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

@@ -6,26 +6,22 @@
 //! receivers ([`scope`]), per-file analysis context with test-region
 //! detection and `lint-allow` suppressions ([`context`]), a catalog of
 //! numeric-safety / panic-hygiene / concurrency / determinism rules
-//! ([`rules`], [`determinism`]) and a workspace walker with human/JSON/SARIF
-//! output, baseline filtering ([`baseline`]) and a fixture self-test
-//! ([`engine`]).
+//! ([`rules`], [`determinism`]) and a workspace walker with human/JSON
+//! output and a fixture self-test ([`engine`]).
 //!
-//! The binary (`cargo run -p triad-lint`) and the `triad lint` CLI verb are
-//! the CI entry points; the library surface exists so integration tests and
-//! `crates/cli` can drive the same engine.
+//! The `triad lint` CLI verb is the only entry point; the library surface
+//! exists so it and the integration tests drive the same engine.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod context;
 pub mod determinism;
 pub mod engine;
 pub mod parser;
 pub mod rules;
-pub mod sarif;
 pub mod scope;
 pub mod tokenizer;
 
 pub use context::{FileClass, FileContext, Suppression};
-pub use engine::{fixture_self_test, lint_one, run, FileReport, FixtureOutcome, Options};
+pub use engine::{fixture_self_test, lint_one, run, FileReport, FixtureOutcome};
 pub use rules::{Diagnostic, RULES};

@@ -19,16 +19,13 @@
 
 use crate::context::{FileClass, FileContext};
 
-/// One finding, addressed `path:line`. The `fingerprint` is filled in by
-/// the engine (it needs the source text): a line-shift-tolerant hash used
-/// by `--baseline` and the SARIF exporter.
+/// One finding at a line of a file; the file's path is the owning
+/// [`crate::FileReport`]'s `rel_path`.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     pub rule: &'static str,
-    pub path: String,
     pub line: u32,
     pub message: String,
-    pub fingerprint: u64,
 }
 
 /// (id, one-line description) for every shipped rule, in catalog order.
@@ -152,18 +149,11 @@ pub fn run_all(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     suppress_reason(cx, out);
 }
 
-pub(crate) fn diag(
-    cx: &FileContext<'_>,
-    rule: &'static str,
-    line: u32,
-    message: String,
-) -> Diagnostic {
+pub(crate) fn diag(rule: &'static str, line: u32, message: String) -> Diagnostic {
     Diagnostic {
         rule,
-        path: cx.rel_path.clone(),
         line,
         message,
-        fingerprint: 0,
     }
 }
 
@@ -195,7 +185,6 @@ fn float_cmp(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
             }
             if s == "unwrap" || s == "expect" {
                 out.push(diag(
-                    cx,
                     "float-cmp",
                     t.line,
                     format!(
@@ -229,7 +218,6 @@ fn lossy_cast(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
             continue;
         }
         out.push(diag(
-            cx,
             "lossy-cast",
             t.line,
             format!(
@@ -256,7 +244,7 @@ fn float_div_acc(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
             if let Some(d) = div_nonliteral(cx, i + 2) {
                 let t = cx.stok(i);
                 if !cx.in_test_code(t.start) {
-                    out.push(diag(cx, "float-div-acc", t.line, d));
+                    out.push(diag("float-div-acc", t.line, d));
                 }
             }
             i += 2;
@@ -275,7 +263,7 @@ fn float_div_acc(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
                     if let Some(d) = div_nonliteral(cx, j + 1) {
                         let t = cx.stok(i);
                         if !cx.in_test_code(t.start) {
-                            out.push(diag(cx, "float-div-acc", t.line, d));
+                            out.push(diag("float-div-acc", t.line, d));
                         }
                         break;
                     }
@@ -327,7 +315,6 @@ fn no_unwrap(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
             continue;
         }
         out.push(diag(
-            cx,
             "no-unwrap",
             t.line,
             format!(
@@ -360,7 +347,6 @@ fn no_panic(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
             continue;
         }
         out.push(diag(
-            cx,
             "no-panic",
             t.line,
             format!(
@@ -384,7 +370,6 @@ fn index_stampede(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
         |cx: &FileContext<'_>, line: u32, count: usize, byte: usize, out: &mut Vec<Diagnostic>| {
             if count >= INDEX_THRESHOLD && !cx.in_test_code(byte) {
                 out.push(diag(
-                    cx,
                     "index-stampede",
                     line,
                     format!(
@@ -465,7 +450,6 @@ fn relaxed_ok(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
             .any(|&l| l == t.line || l + 1 == t.line || l == t.line + 1);
         if !justified {
             out.push(diag(
-                cx,
                 "relaxed-ok",
                 t.line,
                 "Ordering::Relaxed without a `// relaxed-ok:` justification; explain why no ordering is needed or upgrade"
@@ -480,7 +464,6 @@ fn no_static_mut(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     for i in 0..cx.slen().saturating_sub(1) {
         if cx.stext(i) == "static" && cx.stext(i + 1) == "mut" {
             out.push(diag(
-                cx,
                 "no-static-mut",
                 cx.stok(i).line,
                 "static mut is a data race by construction; use an atomic, Mutex or OnceLock"
@@ -559,7 +542,6 @@ fn lock_across_io(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
                         && matches!(cx.stok(j).kind, crate::tokenizer::TokKind::Ident)
                     {
                         out.push(diag(
-                            cx,
                             "lock-across-io",
                             cx.stok(i).line,
                             format!(
@@ -607,7 +589,6 @@ fn thread_unbounded(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
             continue;
         }
         out.push(diag(
-            cx,
             "thread-unbounded",
             t.line,
             "raw thread::spawn bypasses the deterministic pool; use crates/parallel \
@@ -647,7 +628,6 @@ fn raw_instant(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
             continue;
         }
         out.push(diag(
-            cx,
             "raw-instant",
             t.line,
             "Instant::now() bypasses the shared trace clock; use obs::now_instant() \
@@ -665,7 +645,6 @@ fn suppress_reason(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     for s in &cx.suppressions {
         if !s.has_reason {
             out.push(diag(
-                cx,
                 "suppress-reason",
                 s.line,
                 "lint-allow without a reason; write `// lint-allow(rule): why it is safe`"
@@ -675,7 +654,6 @@ fn suppress_reason(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
         for r in &s.rules {
             if !ids.contains(&r.as_str()) {
                 out.push(diag(
-                    cx,
                     "suppress-reason",
                     s.line,
                     format!("lint-allow names unknown rule `{}`", r),

@@ -45,8 +45,7 @@ impl Drop for TempTree {
 #[test]
 fn walker_skips_generated_trees() {
     let tree = TempTree::new("walk");
-    let reports =
-        triad_lint::run(tree.path(), &triad_lint::Options::default()).expect("tree readable");
+    let reports = triad_lint::run(tree.path()).expect("tree readable");
     let paths: Vec<&str> = reports.iter().map(|r| r.rel_path.as_str()).collect();
     assert_eq!(paths, vec!["src/bad.rs"], "only src/ may be scanned");
     assert!(
@@ -59,31 +58,11 @@ fn walker_skips_generated_trees() {
 fn explicit_generated_roots_produce_no_reports() {
     let tree = TempTree::new("roots");
     for sub in GENERATED {
-        let reports = triad_lint::run(&tree.path().join(sub), &triad_lint::Options::default())
-            .expect("tree readable");
+        let reports = triad_lint::run(&tree.path().join(sub)).expect("tree readable");
         assert!(
             reports.is_empty(),
             "{sub}/ passed explicitly must still not be scanned, got {:?}",
             reports.iter().map(|r| &r.rel_path).collect::<Vec<_>>()
         );
     }
-}
-
-#[test]
-fn include_vendor_restores_vendor_only() {
-    let tree = TempTree::new("vendor");
-    let opts = triad_lint::Options {
-        include_vendor: true,
-    };
-    let reports = triad_lint::run(&tree.path().join("vendor"), &opts).expect("tree readable");
-    assert_eq!(
-        reports.len(),
-        1,
-        "--include-vendor lints an explicit vendor root"
-    );
-    let reports = triad_lint::run(&tree.path().join("target"), &opts).expect("tree readable");
-    assert!(
-        reports.is_empty(),
-        "target/ stays excluded regardless of flags"
-    );
 }

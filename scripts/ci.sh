@@ -131,8 +131,8 @@ for t in 1 4; do
 done
 echo "   evalbed smoke gate PASS at threads 1 and 4"
 
-echo "== triad lint --deny --baseline (no findings beyond the committed baseline)"
-cargo run -q --release -p triad-cli --bin triad -- lint --deny --baseline lint_baseline.json
+echo "== triad lint --deny (the workspace must have zero findings)"
+cargo run -q --release -p triad-cli --bin triad -- lint --deny
 
 echo "== triad lint --fixture (every rule must fire on the seeded fixtures)"
 cargo run -q --release -p triad-cli --bin triad -- lint --fixture
